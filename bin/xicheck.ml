@@ -592,7 +592,10 @@ let journal_arg =
 let eval_budget_arg =
   let doc =
     "Step budget per optimized check; a check exhausting it degrades to \
-     the full check instead of hanging."
+     the full check instead of hanging.  A guard whose update matches a \
+     registered pattern pre-checks on the relational mirror and counts \
+     Datalog solver steps; runtime-simplified checks count XQuery \
+     evaluator steps."
   in
   Arg.(value & opt (some int) None & info [ "eval-budget" ] ~docv:"STEPS" ~doc)
 

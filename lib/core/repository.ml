@@ -103,6 +103,10 @@ type t = {
   (* [true] = verdicts come from the materialized denial views *)
   mutable incremental : bool;
   mutable incr : Xic_datalog.Incr.t option;
+  (* flushed into the base store but not yet absorbed by [incr]: the
+     guard's pre-check flushes the base store only, and the views catch
+     up at the next [store] demand *)
+  view_pending : Delta.t;
   deltas : delta_counters;
   mutable eval_budget : int option;
   mutable use_index : bool;
@@ -131,7 +135,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Repository_error s)) fmt
 
 let create schema =
   { schema; doc = Doc.create (); constraints = []; compiled = []; store = None;
-    mirror = None; incremental = false; incr = None;
+    mirror = None; incremental = false; incr = None; view_pending = Delta.create ();
     deltas =
       { flushes = 0; facts_added = 0; facts_removed = 0; net = Delta.create () };
     eval_budget = None; use_index = true; index = None;
@@ -234,11 +238,17 @@ let metrics_prometheus t =
   sync_gauges t;
   Obs.Metrics.to_prometheus ()
 
+(* Drop the materialized views, with any delta they had yet to absorb;
+   the next incremental check re-initializes them from the store. *)
+let drop_views t =
+  t.incr <- None;
+  Delta.clear t.view_pending
+
 let invalidate_store t =
   (match t.mirror with Some m -> Mirror.detach m | None -> ());
   t.mirror <- None;
   t.store <- None;
-  t.incr <- None;
+  drop_views t;
   (* generation numbers no longer name states of the store being
      dropped; outstanding pins keep their handles, the table does not *)
   Hashtbl.reset t.retained;
@@ -255,13 +265,12 @@ let install_store t s =
   t.mutations <- t.mutations + 1;
   t.mirror <- Some (Mirror.create (Schema.mapping t.schema) t.doc s)
 
-(* Reconcile pending mutation marks into the store and feed the net
-   delta to the live materialized views (if any).  A view that cannot be
-   maintained (unsafe denial, exhausted budget) is dropped; the next
-   incremental check re-initializes from scratch. *)
-let sync_store t =
-  match (t.store, t.mirror) with
-  | Some s, Some m when Mirror.has_dirty m ->
+(* Reconcile pending mutation marks into the base store.  With live
+   materialized views, the net delta is composed into [view_pending]
+   rather than applied: the views absorb it at the next {!sync_store}. *)
+let flush_base t =
+  match t.mirror with
+  | Some m when Mirror.has_dirty m ->
     Obs.Trace.with_span "delta_flush" (fun () ->
         let d = Delta.create () in
         Mirror.flush m ~into:d;
@@ -272,13 +281,26 @@ let sync_store t =
         Obs.Metrics.add c_delta_facts_added (Delta.gross_added d);
         Obs.Metrics.add c_delta_facts_removed (Delta.gross_removed d);
         Delta.compose ~into:t.deltas.net d;
-        match t.incr with
-        | Some inc when not (Delta.is_empty d) ->
-          (try Incr.apply_delta inc s d
+        if t.incr <> None then Delta.compose ~into:t.view_pending d)
+  | _ -> ()
+
+(* [flush_base], then feed everything the views have yet to see to them
+   as one composed delta.  A view that cannot be maintained (unsafe
+   denial, exhausted budget) is dropped; the next incremental check
+   re-initializes from scratch. *)
+let sync_store t =
+  match t.store with
+  | None -> ()
+  | Some s ->
+    flush_base t;
+    (match t.incr with
+     | Some inc when not (Delta.is_empty t.view_pending) ->
+       Obs.Trace.with_span "view_maintain" (fun () ->
+           try Incr.apply_delta inc s t.view_pending
            with Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded ->
              t.incr <- None)
-        | _ -> ())
-  | _ -> ()
+     | _ -> ());
+    Delta.clear t.view_pending
 
 let add_document_root ?(validate = true) t root =
   if validate then begin
@@ -369,7 +391,7 @@ let load_fused ?(validate = true) t source =
          | Some _, Some m -> Mirror.set_active m true
          | Some s, None -> install_store t s
          | None, _ -> ());
-        t.incr <- None;
+        drop_views t;
         t.mutations <- t.mutations + 1;
         Obs.Metrics.incr c_ingest_fused;
         Obs.Metrics.add c_ingest_bytes (String.length source);
@@ -396,7 +418,7 @@ let add_constraint ?(verify = false) t c =
     fail "the current documents already violate %s" c.Constr.name;
   t.constraints <- t.constraints @ [ c ];
   Hashtbl.reset t.full_plans;
-  t.incr <- None;  (* the view set changed; re-materialize on demand *)
+  drop_views t;  (* the view set changed; re-materialize on demand *)
   recompile t
 
 let register_pattern t p =
@@ -414,15 +436,24 @@ let optimized_checks t p =
   | Some (_, checks) -> checks
   | None -> fail "pattern %s is not registered" p.Pattern.name
 
-let store t =
+(* The base store, exact for the current documents; the materialized
+   views may lag it (see [view_pending]). *)
+let base_store t =
   match t.store with
   | Some s ->
-    sync_store t;
+    flush_base t;
     s
   | None ->
     let s = Xic_relmap.Shred.shred ?index:(index t) (Schema.mapping t.schema) t.doc in
     install_store t s;
     s
+
+let store t =
+  match t.store with
+  | Some s ->
+    sync_store t;
+    s
+  | None -> base_store t
 
 (* Full-check plan of one constraint, served from the cache. *)
 let full_plan t (c : Constr.t) =
@@ -580,7 +611,7 @@ let check_as_of t g =
 (* ------------------------------------------------------------------ *)
 
 let set_incremental t enabled =
-  if not enabled then t.incr <- None;
+  if not enabled then drop_views t;
   t.incremental <- enabled
 
 let incremental t = t.incremental
@@ -614,7 +645,7 @@ let post_check t =
   if t.incremental then (
     try check_incremental t
     with Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded ->
-      t.incr <- None;
+      drop_views t;
       check_full t)
   else check_full t
 
@@ -737,18 +768,41 @@ let budgeted_datalog t f =
   | None -> f ()
   | Some steps -> Xic_datalog.Eval.with_budget ~steps f
 
-let check_optimized_datalog t p valuation =
+(* The guard's pre-check: each constraint's simplified denials,
+   instantiated with the update's parameters, evaluated over the base
+   store.  Only the base store is flushed — view maintenance stays with
+   the next read, so a legal guard never pays it.  An unsafe denial or
+   an exhausted budget is a degradation, as in [try_check_optimized]. *)
+let try_check_optimized_datalog t p valuation =
   let checks = optimized_checks t p in
   let params = Pattern.datalog_params p valuation in
-  let s = store t in
-  List.filter_map
-    (fun ch ->
-      if
-        budgeted_datalog t (fun () ->
-            List.exists (fun d -> Xic_datalog.Eval.violated ~params s d) ch.simplified)
-      then Some ch.constraint_name
-      else None)
-    checks
+  let s = base_store t in
+  let rec go violated degs = function
+    | [] -> (List.rev violated, List.rev degs)
+    | ch :: rest ->
+      Obs.Metrics.incr c_checks_optimized;
+      let degraded reason =
+        go violated ({ failed_check = ch.constraint_name; reason } :: degs) rest
+      in
+      (match
+         timed_check ch.constraint_name h_check_optimized (fun () ->
+             budgeted_datalog t (fun () ->
+                 List.exists
+                   (fun d -> Xic_datalog.Eval.violated ~params s d)
+                   ch.simplified))
+       with
+       | true -> go (ch.constraint_name :: violated) degs rest
+       | false -> go violated degs rest
+       | exception Xic_datalog.Eval.Unsafe m -> degraded m
+       | exception Xic_datalog.Eval.Budget_exceeded ->
+         degraded "step budget exhausted")
+  in
+  go [] [] checks
+
+let check_optimized_datalog t p valuation =
+  match try_check_optimized_datalog t p valuation with
+  | violated, [] -> violated
+  | _, d :: _ -> fail "optimized check %s failed: %s" d.failed_check d.reason
 
 type witness = {
   witness_constraint : string;
@@ -988,7 +1042,7 @@ let txn_apply_report ?(fallback = `Full_check) tx (u : XU.t) =
   in
   match match_update t u with
   | Some (p, valuation) ->
-    (match try_check_optimized t p valuation with
+    (match try_check_optimized_datalog t p valuation with
      | v :: _, degs -> { outcome = Rejected_early v; degradations = degs }
      | [], [] -> pre_checked `Optimized "optimized" []
      | [], degs -> full_fallback degs)
@@ -1041,11 +1095,10 @@ let guarded_update ?(fallback = `Full_check) ?journal t (u : XU.t) =
 (* Batched guarded updates: the statements go through the same
    per-statement strategy dispatch as serial guards (identical verdicts
    by construction — oracle route 9 asserts it), but share one journaled
-   transaction, so the batch pays a single commit fsync; consecutive
-   pre-checked (optimized / runtime-simplified) statements leave their
-   mutation marks in the mirror, and the final reconciliation composes
-   them into one flush — one incremental view-maintenance pass for that
-   run instead of one per statement. *)
+   transaction, so the batch pays a single commit fsync; each
+   statement's pre-check flushes only the base store, and the views
+   absorb the composed delta of the whole batch at the end — one
+   incremental view-maintenance pass instead of one per statement. *)
 let guarded_batch ?(fallback = `Full_check) ?journal t (us : XU.t list) =
   match us with
   | [] -> []
@@ -1055,7 +1108,7 @@ let guarded_batch ?(fallback = `Full_check) ?journal t (us : XU.t list) =
     let reports = List.map (fun u -> txn_apply_report ~fallback tx u) us in
     if tx.txn_seq > 0 || tx.txn_journaled then commit_txn tx
     else rollback_txn tx;
-    (* one mirror flush + view-maintenance pass for the whole batch *)
+    (* one view-maintenance pass for the whole batch *)
     (match t.store with Some _ -> ignore (store t) | None -> ());
     reports
 

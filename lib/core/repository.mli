@@ -9,7 +9,10 @@
     {- {e optimized check}: when an incoming update instantiates a
        registered pattern, evaluate the pattern's pre-compiled simplified
        checks with the extracted parameter valuation — {e before} the
-       update executes, so illegal updates are never applied;}
+       update executes, so illegal updates are never applied.  The guard
+       evaluates the simplified denials over the relational mirror
+       ({!try_check_optimized_datalog}); their XQuery translation
+       ({!try_check_optimized}) is the reference route;}
     {- {e fallback}: updates matching no pattern are applied, fully
        checked, and rolled back on violation (compensating action).}} *)
 
@@ -45,9 +48,9 @@ val set_eval_budget : t -> int option -> unit
     evaluation.  Every optimized or runtime-simplified check runs under
     its own budget of that many evaluator steps; a check that exhausts it
     is treated as {e degraded} — the guarded update falls back to the
-    full check instead of failing (see {!report}).  The budget also
-    bounds {!check_optimized_datalog}, where exhaustion raises
-    [Xic_datalog.Eval.Budget_exceeded]. *)
+    full check instead of failing (see {!report}).  The guard's Datalog
+    pre-check counts Datalog solver steps, the XQuery routes XQuery
+    evaluator steps. *)
 
 val eval_budget : t -> int option
 
@@ -290,8 +293,11 @@ val match_update : t -> Xic_xupdate.Xupdate.t -> (Pattern.t * Pattern.valuation)
     patterns (first match wins). *)
 
 val check_optimized : t -> Pattern.t -> Pattern.valuation -> string list
-(** Names of constraints whose simplified check reports a violation for
-    the proposed update (evaluated on the {e current} state).
+(** Names of constraints whose simplified check, translated to XQuery,
+    reports a violation for the proposed update (evaluated on the
+    {e current} document).  This is the paper's route, kept as the
+    reference the guard's Datalog pre-check is tested and benchmarked
+    against.
     @raise Repository_error when a check fails to evaluate or exhausts
     the step budget; {!try_check_optimized} reports those as degradations
     instead. *)
@@ -306,9 +312,20 @@ val try_check_optimized :
 (** Total variant of {!check_optimized}: violated constraint names plus
     the checks that degraded instead of completing. *)
 
+val try_check_optimized_datalog :
+  t -> Pattern.t -> Pattern.valuation -> string list * degradation list
+(** The guarded-update pre-check: every constraint's simplified denials,
+    instantiated with the valuation ({!Pattern.datalog_params}), evaluated
+    over the relational mirror.  Only the base store is brought up to
+    date; the materialized views absorb the flushed delta at the next
+    {!store} demand.  An unsafe denial or an exhausted step budget is
+    reported as a degradation.  Verdict-equivalent to
+    {!try_check_optimized} (the differential oracle asserts it). *)
+
 val check_optimized_datalog : t -> Pattern.t -> Pattern.valuation -> string list
-(** Ablation variant: evaluate the simplified denials over the relational
-    mirror instead of via XQuery. *)
+(** Raising variant of {!try_check_optimized_datalog}, as
+    {!check_optimized} is of {!try_check_optimized}.
+    @raise Repository_error on a degradation. *)
 
 (** Result of a guarded update. *)
 type outcome =
@@ -336,7 +353,8 @@ val guarded_update :
 (** Apply an update under integrity control.
 
     When the update instantiates a registered pattern, its pre-compiled
-    simplified checks run before execution.  Otherwise [fallback] decides
+    simplified checks run before execution, over the relational mirror
+    ({!try_check_optimized_datalog}).  Otherwise [fallback] decides
     (Section 7, footnote 4 of the paper): with [`Full_check] (default) the
     update is executed, fully checked, and compensated on violation; with
     [`Runtime_simplification] a one-off pattern is derived from the
@@ -370,10 +388,9 @@ val guarded_batch :
     in input order and verdict-identical to serial guards), but they
     share one journaled transaction under group commit — intent records
     are written unsynced and the single commit fsync makes the whole
-    batch durable at once — and runs of pre-checked statements are
-    reconciled into
-    the store by one composed delta flush (one incremental
-    view-maintenance pass) instead of one per statement.  Statements
+    batch durable at once — and the materialized views absorb the
+    whole batch's composed delta in one incremental view-maintenance
+    pass instead of one per statement.  Statements
     refused or compensated individually do not abort the rest of the
     batch. *)
 
@@ -515,7 +532,8 @@ val rollback : t -> Xic_xupdate.Xupdate.undo -> unit
 
 val store : t -> Xic_datalog.Store.t
 (** The relational mirror of the current documents (rebuilt lazily after
-    updates). *)
+    updates).  Also brings the materialized views (if any) up to date
+    with every delta flushed since they last were. *)
 
 (** A concrete witness of a constraint violation. *)
 type witness = {

@@ -80,22 +80,26 @@ let match_tuple ?(prior = []) env (args : Term.term list) (tup : Store.tuple) =
   in
   go prior args tup
 
-(* Probe the leftmost bound column: the first column (node id) when it
-   is ground, else any later ground column through the store's lazy
-   secondary indexes.  Downward joins (parent column bound) and value
-   joins (text column bound) would otherwise enumerate the whole
-   relation — on delta evaluation those scans dwarfed the delta. *)
-let candidate_tuples store env (a : Term.atom) =
-  let rec probe col = function
-    | [] -> Store.tuples store a.Term.pred
+(* The probe of an atom: its leftmost column with a known [value] —
+   the first column (node id) when it is ground, else any later ground
+   column through the store's lazy secondary indexes.  Downward joins
+   (parent column bound) and value joins (text column bound) would
+   otherwise enumerate the whole relation — on delta evaluation those
+   scans dwarfed the delta.  [None] is a scan. *)
+let probe_key value (a : Term.atom) =
+  let rec go col = function
+    | [] -> None
     | t :: rest ->
-      (match term_value env t with
-       | Some key ->
-         if col = 0 then Store.tuples_with_key store a.Term.pred key
-         else Store.tuples_with_col store a.Term.pred col key
-       | None -> probe (col + 1) rest)
+      (match value t with Some key -> Some (col, key) | None -> go (col + 1) rest)
   in
-  probe 0 a.Term.args
+  go 0 a.Term.args
+
+let candidates store (a : Term.atom) = function
+  | None -> Store.tuples store a.Term.pred
+  | Some (0, key) -> Store.tuples_with_key store a.Term.pred key
+  | Some (col, key) -> Store.tuples_with_col store a.Term.pred col key
+
+let candidate_tuples store env a = candidates store a (probe_key (term_value env) a)
 
 (* Number of argument positions already bound; used to pick the most
    selective literal first. *)
@@ -118,6 +122,41 @@ let const_int = function
      | Some i -> i
      | None -> unsafe "aggregate over non-integer value %S" s)
 
+(* Join order of an aggregate's atoms: most-bound-first, greedily.  An
+   argument counts as bound when it is a constant, a variable of the
+   outer environment, or a variable of an atom already placed; ties keep
+   source order.  Which variables are bound does not depend on the
+   tuples joined, so one order serves every binding vector.  Source
+   order instead lets a pattern like [track(T, ..), rev(_, _, T, R)] with
+   [R] bound walk every track and every rev under it. *)
+let order_atoms env atoms =
+  let score placed (a : Term.atom) =
+    List.fold_left
+      (fun n t ->
+        match t with
+        | Term.Const _ -> n + 1
+        | Term.Var v when lookup env v <> None || List.mem v placed -> n + 1
+        | _ -> n)
+      0 a.Term.args
+  in
+  let rec go placed acc = function
+    | [] -> List.rev acc
+    | a0 :: rest as atoms ->
+      let best, _ =
+        List.fold_left
+          (fun (b, sb) a ->
+            let sa = score placed a in
+            if sa > sb then (a, sa) else (b, sb))
+          (a0, score placed a0) rest
+      in
+      let rec remove = function
+        | [] -> []
+        | x :: xs -> if x == best then xs else x :: remove xs
+      in
+      go (Term.atom_vars best @ placed) (best :: acc) (remove atoms)
+  in
+  go [] [] atoms
+
 (* All consistent local-binding vectors of joined tuples matching the
    conjunctive pattern. *)
 let agg_matches store env (g : Term.agg) =
@@ -130,16 +169,7 @@ let agg_matches store env (g : Term.agg) =
       | None ->
         (match t with Term.Var v -> List.assoc_opt v prior | _ -> None)
     in
-    let rec probe col = function
-      | [] -> Store.tuples store a.Term.pred
-      | t :: rest ->
-        (match value t with
-         | Some key ->
-           if col = 0 then Store.tuples_with_key store a.Term.pred key
-           else Store.tuples_with_col store a.Term.pred col key
-         | None -> probe (col + 1) rest)
-    in
-    probe 0 a.Term.args
+    candidates store a (probe_key value a)
   in
   List.fold_left
     (fun vecs atom ->
@@ -149,7 +179,7 @@ let agg_matches store env (g : Term.agg) =
             (fun tup -> match_tuple ~prior env atom.Term.args tup)
             (candidate_with_prior prior atom))
         vecs)
-    [ [] ] g.Term.atoms
+    [ [] ] (order_atoms env g.Term.atoms)
 
 let eval_agg store env (g : Term.agg) =
   let matches = agg_matches store env g in

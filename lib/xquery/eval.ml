@@ -409,8 +409,10 @@ and compile_some binds cond : code =
         let nplan = compile_narrow v e conjs in
         let ts = tests.(lvl) in
         (* the join table is only reusable across outer tuples when the
-           candidate source is closed (no free variables) *)
-        let join = if expr_vars [] e = [] then !join_info else None in
+           candidate source is closed (no free variables); with a single
+           binding it would serve one lookup, so [scan] (index probe, else
+           a linear pass) does better *)
+        let join = if n > 1 && expr_vars [] e = [] then !join_info else None in
         let ts_rest = match ts with _ :: r -> r | [] -> [] in
         let scan cx env slots plain =
           let candidates =
@@ -727,8 +729,8 @@ let eval_bool doc ?env ?params ?index e = XE.boolean (eval doc ?env ?params ?ind
 (* Render the decisions [compile_some]/[compile_narrow] would take for
    an expression without compiling it: per-binding narrowing, the
    conjunct schedule with hoisted comparison operands, and the
-   innermost-level hash join.  The analysis mirrors the compile
-   functions above; keep them in sync. *)
+   innermost-level hash join (only with more than one binding).  The
+   analysis mirrors the compile functions above; keep them in sync. *)
 let describe (e : Ast.expr) : string =
   let b = Buffer.create 256 in
   let line indent fmt =
@@ -835,7 +837,7 @@ let describe (e : Ast.expr) : string =
                        hs))))
         conjs;
       (match !join with
-       | Some (outer, key) when source_closed ->
+       | Some (outer, key) when n > 1 && source_closed ->
          line (ind + 1) "join: hash $%s on %s, probe with %s" vn
            (Ast.to_string key) (Ast.to_string outer)
        | _ -> ());

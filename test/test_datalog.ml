@@ -261,6 +261,39 @@ let test_agg_multi_atom_join () =
   checkb "G serves 2 tracks" true (E.violated st (d 1));
   checkb "nobody serves 3" false (E.violated st (d 2))
 
+(* An aggregate's atoms listed worst-first must cost what best-first
+   costs.  [n] tracks of four revs each; reviewer [A<t>] and [B<t>]
+   serve in tracks [t] and [t-1], and "Solo" in track 0 only. *)
+let tracks_store n =
+  let facts = ref [] in
+  for t = 0 to n - 1 do
+    let tid = 1 + (10 * t) in
+    facts := ("track", [ i tid; i (t + 1); i 0; s (Printf.sprintf "T%d" t) ]) :: !facts;
+    List.iteri
+      (fun k name -> facts := ("rev", [ i (tid + 1 + k); i (k + 1); i tid; s name ]) :: !facts)
+      [ Printf.sprintf "A%d" t; Printf.sprintf "B%d" t;
+        Printf.sprintf "A%d" ((t + 1) mod n); Printf.sprintf "B%d" ((t + 1) mod n) ]
+  done;
+  facts := ("rev", [ i 5; i 5; i 1; s "Solo" ]) :: !facts;
+  S.of_facts !facts
+
+let test_agg_join_order () =
+  let worst = "track(It, _, _, _), rev(_, _, It, R)" in
+  let best = "rev(_, _, It, R), track(It, _, _, _)" in
+  let d atoms cmp = P.parse_denial (Printf.sprintf ":- rev(_, _, _, R), cntd(It; %s) %s" atoms cmp) in
+  let st = tracks_store 40 in
+  List.iter
+    (fun cmp ->
+      checkb ("same value, " ^ cmp) (E.violated st (d best cmp)) (E.violated st (d worst cmp)))
+    [ "= 1"; "= 2"; "> 2"; "!= 2" ];
+  checkb "Solo serves one track" true
+    (E.violated st (P.parse_denial (Printf.sprintf ":- R = \"Solo\", cntd(It; %s) = 1" worst)));
+  (* no reviewer serves three tracks, so every reviewer is visited *)
+  let steps n = snd (E.with_meter (fun () -> E.violated (tracks_store n) (d worst "> 2"))) in
+  let small = steps 40 and large = steps 80 in
+  if float_of_int large > 2.5 *. float_of_int small then
+    Alcotest.failf "steps grew %d -> %d when the relation doubled" small large
+
 let test_agg_empty_group () =
   let st = S.of_facts [ ("rev", [ i 1; i 1; i 0; s "G" ]) ] in
   checkb "cnt over empty = 0" true
@@ -528,6 +561,7 @@ let () =
           Alcotest.test_case "cntd target" `Quick test_agg_target_distinct;
           Alcotest.test_case "sum/max/min" `Quick test_agg_sum_max_min;
           Alcotest.test_case "multi-atom join" `Quick test_agg_multi_atom_join;
+          Alcotest.test_case "join order" `Quick test_agg_join_order;
           Alcotest.test_case "empty group" `Quick test_agg_empty_group;
         ] );
       ( "subsumption",

@@ -6,7 +6,10 @@
    - one batch delta equals the sequential composition of its split;
    - the lazy any-column store index is an exact column filter;
    - savepoint rollback restores the pre-savepoint materialization;
-   - journal recovery replay maintains the same views as the live run. *)
+   - journal recovery replay maintains the same views as the live run;
+   - views that absorb the deltas of several unread guards, a rolled-back
+     guard and a savepoint rollback at once equal a fresh
+     materialization. *)
 
 module Store = Xic_datalog.Store
 module Delta = Xic_datalog.Delta
@@ -272,6 +275,62 @@ let prop_recovery_replay =
       | Some a, Some b -> Store.equal a b
       | _ -> false)
 
+(* Guards flush the base store only; the views catch up at the next
+   read.  Legal guards with no read between them, a guard the full
+   check rolls back, and a savepoint rollback must leave the views
+   exactly as a fresh materialization over the same store. *)
+let prop_deferred_maintenance =
+  QCheck2.Test.make ~name:"deferred view maintenance equals a fresh materialization"
+    ~count:30
+    QCheck2.Gen.(int_bound 10_000)
+    (fun seed ->
+      let r = Prng.create seed in
+      let repo = mk_repo () in
+      Repository.register_pattern repo (Conf.submission_pattern (Repository.schema repo));
+      ignore (Repository.check_incremental repo : string list);
+      let legal () =
+        Option.map
+          (fun select ->
+            Conf.insert_submission ~select ~title:(Prng.pick r words)
+              ~author:(Printf.sprintf "Zed%d" (Prng.int r 1000)))
+          (random_sub_path r repo)
+      in
+      for _ = 1 to 1 + Prng.int r 4 do
+        Option.iter (fun u -> ignore (Repository.guarded_update repo u)) (legal ())
+      done;
+      (* an unmatched statement authored by the reviewer: applied, found
+         violating by the full check, compensated *)
+      let own =
+        [ { XU.op = XU.Append; select = XP.Parser.parse "/review/track[1]/rev[1]";
+            content =
+              [ XU.Elem
+                  ( "sub", [],
+                    [ XU.Elem ("title", [], [ XU.Text "Own" ]);
+                      XU.Elem ("auts", [], [ XU.Elem ("name", [], [ XU.Text "Carl" ]) ]) ] ) ] } ]
+      in
+      (match Repository.guarded_update repo own with
+       | Repository.Rolled_back "conflict" -> ()
+       | _ -> Alcotest.fail "the reviewer's own submission must be rolled back");
+      let txn = Repository.begin_txn repo in
+      Option.iter (fun u -> ignore (Repository.txn_apply txn u)) (legal ());
+      let sp = Repository.txn_savepoint txn in
+      Option.iter (fun u -> ignore (Repository.txn_apply txn u)) (legal ());
+      Repository.txn_rollback_to txn sp;
+      Repository.commit_txn txn;
+      let verdict = Repository.check_incremental repo in
+      let fresh =
+        Xic_datalog.Incr.create
+          (List.map
+             (fun (c : Constr.t) -> (c.Constr.name, c.Constr.datalog))
+             (Repository.constraints repo))
+      in
+      Xic_datalog.Incr.initialize fresh (Repository.store repo);
+      verdict = Xic_datalog.Incr.violated fresh
+      &&
+      match Repository.incr_view repo with
+      | Some v -> Store.equal v (Xic_datalog.Incr.view fresh)
+      | None -> false)
+
 let () =
   Alcotest.run "incr"
     [
@@ -286,5 +345,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_savepoint_rollback;
           QCheck_alcotest.to_alcotest prop_recovery_replay;
+          QCheck_alcotest.to_alcotest prop_deferred_maintenance;
         ] );
     ]

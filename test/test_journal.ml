@@ -526,6 +526,28 @@ let test_try_check_optimized_reports_degradations () =
     Alcotest.(check (list string)) "legal" [] violated;
     checki "no degradation" 0 (List.length degs)
 
+(* One budget serves both pre-check routes: the guard's Datalog
+   pre-check and its XQuery reference count different steps, but a
+   budget that lets one finish on this document lets the other finish
+   too, and one step stops both. *)
+let test_budget_same_on_both_routes () =
+  let repo = make_repo () in
+  let u = legal_update () in
+  match Repository.match_update repo u with
+  | None -> Alcotest.fail "update must match the pattern"
+  | Some (p, valuation) ->
+    List.iter
+      (fun (budget, degraded) ->
+        Repository.set_eval_budget repo (Some budget);
+        let _, xq = Repository.try_check_optimized repo p valuation in
+        let _, dl = Repository.try_check_optimized_datalog repo p valuation in
+        checkb (Printf.sprintf "xquery degraded at %d" budget) degraded (xq <> []);
+        checkb (Printf.sprintf "datalog degraded at %d" budget) degraded (dl <> []))
+      [ (1, true); (10_000, false) ];
+    (match (Repository.guarded_update_report repo u).Repository.outcome with
+     | Repository.Applied `Optimized -> ()
+     | _ -> Alcotest.fail "a realistic budget keeps the guard on the pre-check")
+
 (* ------------------------------------------------------------------ *)
 (* Statement serialization and atomicity                               *)
 (* ------------------------------------------------------------------ *)
@@ -608,6 +630,8 @@ let () =
             test_budget_degrades_runtime_simplification;
           Alcotest.test_case "try_check_optimized" `Quick
             test_try_check_optimized_reports_degradations;
+          Alcotest.test_case "same budget on both routes" `Quick
+            test_budget_same_on_both_routes;
         ] );
       ( "statements",
         [

@@ -11,6 +11,8 @@
    recompute, [Store.equal] on the views) — and the incrementally
    maintained indexes must equal indexes rebuilt from scratch after
    every apply / undo / savepoint-rollback / crash-recovery sequence.
+   Before every randomized guarded statement, the guard's Datalog
+   pre-check must agree with the XQuery simplified check.
 
    Iteration count comes from [XIC_ORACLE_ITERS] (small by default so
    [dune runtest] stays fast); [dune build @oracle] runs 500.  The PRNG
@@ -294,6 +296,22 @@ let test_savepoint_rollback_not_stale () =
       (Index.by_pcdata i ~tag:"title" "Ghost" = []);
     checkb "index consistent after savepoint rollback" true (Index.consistent i)
 
+(* A guarded statement inside [txn].  When it instantiates the
+   registered pattern, the guard's Datalog pre-check over the mirror
+   must first agree with the XQuery reference route on the same state. *)
+let guard ~seed repo txn u =
+  (match Repository.match_update repo u with
+   | None -> ()
+   | Some (p, v) ->
+     let xq, xq_degs = Repository.try_check_optimized repo p v in
+     let dl, dl_degs = Repository.try_check_optimized_datalog repo p v in
+     checkb (Printf.sprintf "[seed %d] pre-checks complete" seed) true
+       (xq_degs = [] && dl_degs = []);
+     Alcotest.(check (list string))
+       (Printf.sprintf "[seed %d] datalog pre-check = xquery pre-check" seed)
+       (sorted xq) (sorted dl));
+  ignore (Repository.txn_apply txn u : Repository.outcome)
+
 (* ------------------------------------------------------------------ *)
 (* Randomized oracles                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -337,9 +355,7 @@ let test_txn_savepoint_oracle () =
     let txn = Repository.begin_txn repo in
     let apply_some n =
       for _ = 1 to n do
-        match random_update r repo with
-        | Some u -> ignore (Repository.txn_apply txn u : Repository.outcome)
-        | None -> ()
+        Option.iter (guard ~seed repo txn) (random_update r repo)
       done
     in
     apply_some (1 + Prng.int r 3);
@@ -510,18 +526,14 @@ let test_incremental_oracle () =
     for round = 1 to 1 + Prng.int r 3 do
       let txn = Repository.begin_txn ~journal:j repo in
       for _ = 1 to 1 + Prng.int r 2 do
-        match random_update r repo with
-        | Some u -> ignore (Repository.txn_apply txn u : Repository.outcome)
-        | None -> ()
+        Option.iter (guard ~seed repo txn) (random_update r repo)
       done;
       (* sometimes wind a savepoint forward and roll it back: the
          inverse deltas must retract exactly what the forward pass
          materialized *)
       if Prng.bool r then begin
         let sp = Repository.txn_savepoint txn in
-        (match random_update r repo with
-         | Some u -> ignore (Repository.txn_apply txn u : Repository.outcome)
-         | None -> ());
+        Option.iter (guard ~seed repo txn) (random_update r repo);
         ignore (Repository.check_incremental repo : string list);
         Repository.txn_rollback_to txn sp
       end;

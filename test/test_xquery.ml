@@ -221,6 +221,36 @@ let test_every_vacuous_and_empty_exists () =
   checkb "exists empty flwor" false
     (ebool "exists(for $x in //track where count($x/rev) > 99 return <i/>)")
 
+(* A lone binding with a probe-able conjunct reads the value index
+   instead of keying every [//aut] into a join table per evaluation, so
+   its cost does not grow with the number of auts. *)
+let test_lone_binding_probes () =
+  let pubs k =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b "<dblp>";
+    for i = 1 to k do
+      Printf.bprintf b "<pub><title>P%d</title><aut><name>A%d</name></aut></pub>" i i
+    done;
+    Buffer.add_string b "</dblp>";
+    (Xml_parser.parse_string (Buffer.contents b)).Xml_parser.doc
+  in
+  let q =
+    Q.Parser.parse "some $a in //aut satisfies $a/name/text() = %n and $a/../title/text() = %t"
+  in
+  let run d n t =
+    let index = Index.create d in
+    E.with_meter (fun () ->
+        Q.Eval.eval_bool d ~index ~params:[ ("n", E.Str n); ("t", E.Str t) ] q)
+  in
+  let small = pubs 100 and large = pubs 400 in
+  checkb "match" true (fst (run large "A7" "P7"));
+  checkb "second conjunct fails" false (fst (run large "A7" "P8"));
+  checkb "no such aut" false (fst (run large "Z" "P7"));
+  let steps d = snd (run d "A7" "P7") in
+  if steps large > steps small + 5 then
+    Alcotest.failf "steps grew %d -> %d with four times the auts" (steps small)
+      (steps large)
+
 let () =
   Alcotest.run "xquery"
     [
@@ -246,6 +276,7 @@ let () =
           Alcotest.test_case "node params" `Quick test_params_node;
           Alcotest.test_case "missing param" `Quick test_params_missing;
           Alcotest.test_case "count-distinct" `Quick test_count_distinct;
+          Alcotest.test_case "lone binding probes" `Quick test_lone_binding_probes;
         ] );
       ( "parser",
         [
