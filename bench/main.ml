@@ -161,14 +161,13 @@ let fig1b ~sizes ~reps () =
     ~constraint_:Conf.workload ~sizes ~reps ()
 
 (* ------------------------------------------------------------------ *)
-(* PR 3: compiled check pipeline — plan cache and multicore checking    *)
+(* PR 3: compiled check pipeline — plan cache                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Interpreted (re-lower the XQuery on every evaluation) versus compiled
-   cached plans, plan-cache counters, and parallel denial checking at 1,
-   2 and 4 domains — all on the full three-constraint suite at the
-   largest document size, with verdict agreement asserted across every
-   route. *)
+   cached plans, and plan-cache counters — on the full three-constraint
+   suite at the largest document size, with verdict agreement asserted
+   across both routes. *)
 let pipeline ~sizes ~reps () =
   let size = List.fold_left max 0 sizes in
   Printf.printf "# Compiled check pipeline (3 constraints, %d bytes)\n" size;
@@ -205,22 +204,6 @@ let pipeline ~sizes ~reps () =
     interp_min;
   Printf.printf "%-28s %-12.3f %.3f\n%!" "compiled (cached plans)" compiled_med
     compiled_min;
-  let parallel_rows =
-    List.map
-      (fun jobs ->
-        Repository.set_parallelism repo jobs;
-        if Repository.check_full repo <> reference then
-          failwith (Printf.sprintf "-j %d disagrees with sequential" jobs);
-        let med, min_ =
-          time_stats ~reps (fun () -> Repository.check_full repo)
-        in
-        Printf.printf "%-28s %-12.3f %.3f\n%!"
-          (Printf.sprintf "parallel -j %d" jobs) med min_;
-        Printf.sprintf "{\"jobs\": %d, \"median_ms\": %.4f, \"min_ms\": %.4f}"
-          jobs med min_)
-      [ 1; 2; 4 ]
-  in
-  Repository.set_parallelism repo 1;
   let stats = Repository.plan_stats repo in
   Printf.printf "%s\n" (Repository.plan_stats_line repo);
   Printf.printf "symbols interned: %d\n\n%!" (Symbol.count ());
@@ -235,12 +218,10 @@ let pipeline ~sizes ~reps () =
        \    \"plan_hits\": %d,\n\
        \    \"plan_misses\": %d,\n\
        \    \"symbols_interned\": %d,\n\
-       \    \"verdicts_agree\": true,\n\
-       \    \"parallel\": [%s]\n\
+       \    \"verdicts_agree\": true\n\
        \  }"
        ds.Gen.stats.Gen.bytes interp_med interp_min compiled_med compiled_min
-       stats.Repository.plan_hits stats.Repository.plan_misses (Symbol.count ())
-       (String.concat ", " parallel_rows))
+       stats.Repository.plan_hits stats.Repository.plan_misses (Symbol.count ()))
 
 (* ------------------------------------------------------------------ *)
 (* PR 4: per-stage breakdown from the tracing layer                     *)

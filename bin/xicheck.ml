@@ -88,14 +88,6 @@ let no_validate_arg =
   let doc = "Skip DTD validation when loading documents." in
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
-let legacy_loader_arg =
-  let doc =
-    "Load documents with the legacy two-pass path (parse, then shred on \
-     demand) instead of the fused single-pass loader.  Escape hatch; \
-     verdicts are identical either way."
-  in
-  Arg.(value & flag & info [ "legacy-loader" ] ~doc)
-
 let no_index_arg =
   let doc =
     "Disable indexed evaluation: answer every check with the scanning \
@@ -106,13 +98,6 @@ let no_index_arg =
 let index_stats_arg =
   let doc = "Print index cache statistics (hits, misses, fallbacks) at exit." in
   Arg.(value & flag & info [ "index-stats" ] ~doc)
-
-let jobs_arg =
-  let doc =
-    "Evaluate independent constraint checks on up to $(docv) domains \
-     (clamped to the machine's core count; verdicts are identical)."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let plan_stats_arg =
   let doc = "Print plan-cache statistics (hits, misses, cached plans) at exit." in
@@ -265,14 +250,11 @@ let load_schema specs =
   | exception Schema.Schema_error m -> die "%s" m
   | exception Sys_error m -> die "%s" m
 
-let load_repo ?(legacy = false) ~validate schema docs =
+let load_repo ~validate schema docs =
   let repo = Repository.create schema in
-  let load =
-    if legacy then Repository.load_document else Repository.load_fused
-  in
   List.iter
     (fun path ->
-      match load ~validate repo (read_file path) with
+      match Repository.load_fused ~validate repo (read_file path) with
       | () -> ()
       | exception Repository.Repository_error m -> die "%s: %s" path m)
     docs;
@@ -298,9 +280,9 @@ let load_snapshot_repo s path =
 (* Build the repository state either from XML documents or from a
    snapshot checkpoint; returns the snapshot metadata when one was
    loaded (needed to compute the journal replay skip). *)
-let load_state ?legacy ~validate s ~snapshot docs =
+let load_state ~validate s ~snapshot docs =
   match snapshot with
-  | None -> (load_repo ?legacy ~validate s docs, None)
+  | None -> (load_repo ~validate s docs, None)
   | Some path ->
     if docs <> [] then die "--snapshot and --doc are mutually exclusive";
     let repo, meta = load_snapshot_repo s path in
@@ -473,9 +455,9 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate legacy_loader
-      use_datalog explain no_index index_stats jobs plan_stats incremental
-      no_incremental delta_stats trace metrics slow_ms =
+  let run dtds docs snapshot constraints pattern no_validate use_datalog
+      explain no_index index_stats plan_stats incremental no_incremental
+      delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     (* --explain needs a traced run for its observed timings *)
     if explain then begin
@@ -484,12 +466,9 @@ let check_cmd =
     end;
     let s = load_schema dtds in
     let repo, _meta =
-      load_state ~legacy:legacy_loader ~validate:(not no_validate) s ~snapshot
-        docs
+      load_state ~validate:(not no_validate) s ~snapshot docs
     in
     if no_index then Repository.set_use_index repo false;
-    (if jobs < 1 then die "--jobs must be at least 1"
-     else Repository.set_parallelism repo jobs);
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
@@ -534,10 +513,10 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Check integrity constraints against the documents")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ legacy_loader_arg $ datalog_arg
-      $ explain_arg $ no_index_arg $ index_stats_arg $ jobs_arg
-      $ plan_stats_arg $ incremental_arg $ no_incremental_arg
-      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ datalog_arg $ explain_arg
+      $ no_index_arg $ index_stats_arg $ plan_stats_arg $ incremental_arg
+      $ no_incremental_arg $ delta_stats_arg $ trace_arg $ metrics_arg
+      $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* simplify                                                            *)
@@ -627,14 +606,13 @@ let guard_cmd =
     let doc = "XUpdate statement to execute under integrity control." in
     Arg.(required & opt (some file) None & info [ "update" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate legacy_loader
-      runtime_simp update output journal eval_budget no_index index_stats
-      incremental no_incremental delta_stats trace metrics slow_ms =
+  let run dtds docs snapshot constraints pattern no_validate runtime_simp
+      update output journal eval_budget no_index index_stats incremental
+      no_incremental delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let s = load_schema dtds in
     let repo, meta =
-      load_state ~legacy:legacy_loader ~validate:(not no_validate) s ~snapshot
-        docs
+      load_state ~validate:(not no_validate) s ~snapshot docs
     in
     if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
@@ -668,7 +646,7 @@ let guard_cmd =
        ~doc:"Execute an XUpdate statement under integrity control")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ legacy_loader_arg $ runtime_simp_arg
+      $ pattern_arg $ no_validate_arg $ runtime_simp_arg
       $ update_arg $ output_arg $ journal_arg $ eval_budget_arg $ no_index_arg
       $ index_stats_arg $ incremental_arg $ no_incremental_arg
       $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
@@ -689,14 +667,13 @@ let txn_cmd =
     let doc = "Roll the transaction back at the end instead of committing." in
     Arg.(value & flag & info [ "abort" ] ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate legacy_loader
-      runtime_simp updates output journal eval_budget abort no_index
-      index_stats incremental no_incremental delta_stats trace metrics slow_ms =
+  let run dtds docs snapshot constraints pattern no_validate runtime_simp
+      updates output journal eval_budget abort no_index index_stats
+      incremental no_incremental delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let s = load_schema dtds in
     let repo, meta =
-      load_state ~legacy:legacy_loader ~validate:(not no_validate) s ~snapshot
-        docs
+      load_state ~validate:(not no_validate) s ~snapshot docs
     in
     if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
@@ -747,7 +724,7 @@ let txn_cmd =
           (each statement still guarded individually)")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ legacy_loader_arg $ runtime_simp_arg
+      $ pattern_arg $ no_validate_arg $ runtime_simp_arg
       $ updates_arg $ output_arg $ journal_arg $ eval_budget_arg $ abort_arg
       $ no_index_arg $ index_stats_arg $ incremental_arg $ no_incremental_arg
       $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
@@ -771,12 +748,11 @@ let recover_cmd =
     Arg.(
       required & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs snapshot constraints no_validate legacy_loader journal
-      incremental no_incremental delta_stats output =
+  let run dtds docs snapshot constraints no_validate journal incremental
+      no_incremental delta_stats output =
     let s = load_schema dtds in
     let repo, meta =
-      load_state ~legacy:legacy_loader ~validate:(not no_validate) s ~snapshot
-        docs
+      load_state ~validate:(not no_validate) s ~snapshot docs
     in
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     apply_incremental repo ~incremental ~no_incremental;
@@ -823,7 +799,7 @@ let recover_cmd =
           against freshly loaded base documents (or a snapshot)")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ no_validate_arg $ legacy_loader_arg $ journal_arg $ incremental_arg
+      $ no_validate_arg $ journal_arg $ incremental_arg
       $ no_incremental_arg $ delta_stats_arg $ output_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -848,7 +824,7 @@ let checkpoint_cmd =
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs constraints no_validate legacy_loader journal snapshot =
+  let run dtds docs constraints no_validate journal snapshot =
     let s = load_schema dtds in
     let repo, meta =
       if Sys.file_exists snapshot then begin
@@ -860,8 +836,7 @@ let checkpoint_cmd =
         (repo, Some meta)
       end
       else
-        (load_repo ~legacy:legacy_loader ~validate:(not no_validate) s docs,
-         None)
+        (load_repo ~validate:(not no_validate) s docs, None)
     in
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match (meta, journal) with
@@ -900,7 +875,7 @@ let checkpoint_cmd =
           truncate the write-ahead journal")
     Term.(
       const run $ dtd_arg $ docs_arg $ constraints_arg $ no_validate_arg
-      $ legacy_loader_arg $ journal_arg $ snapshot_out_arg)
+      $ journal_arg $ snapshot_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* publish                                                             *)
@@ -991,10 +966,9 @@ let serve_cmd =
     let doc = "How many slowest requests the 'slow' op retains." in
     Arg.(value & opt int 8 & info [ "slow-requests" ] ~docv:"N" ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate legacy_loader
-      runtime_simp journal eval_budget no_index jobs incremental
-      no_incremental socket tcp checkpoint_on_shutdown log log_level
-      log_format trace slow_requests =
+  let run dtds docs snapshot constraints pattern no_validate runtime_simp
+      journal eval_budget no_index incremental no_incremental socket tcp
+      checkpoint_on_shutdown log log_level log_format trace slow_requests =
     ignore incremental;
     (* instrumentation first, so document-load spans join the session *)
     (match XLog.level_of_string log_level with
@@ -1013,13 +987,10 @@ let serve_cmd =
     if trace <> None then Obs.Trace.set_enabled true;
     let s = load_schema dtds in
     let repo, meta =
-      load_state ~legacy:legacy_loader ~validate:(not no_validate) s ~snapshot
-        docs
+      load_state ~validate:(not no_validate) s ~snapshot docs
     in
     if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
-    (if jobs < 1 then die "--jobs must be at least 1"
-     else Repository.set_parallelism repo jobs);
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
@@ -1093,10 +1064,9 @@ let serve_cmd =
           check/guard/txn/stats/checkpoint requests over a socket")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ legacy_loader_arg $ runtime_simp_arg
-      $ journal_arg $ eval_budget_arg $ no_index_arg $ jobs_arg
-      $ incremental_arg $ no_incremental_arg $ socket_arg $ tcp_arg
-      $ checkpoint_on_shutdown_arg $ log_arg $ log_level_arg $ log_format_arg
+      $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ journal_arg
+      $ eval_budget_arg $ no_index_arg $ incremental_arg $ no_incremental_arg
+      $ socket_arg $ tcp_arg $ checkpoint_on_shutdown_arg $ log_arg $ log_level_arg $ log_format_arg
       $ serve_trace_arg $ slow_requests_arg)
 
 (* ------------------------------------------------------------------ *)

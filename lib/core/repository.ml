@@ -113,7 +113,6 @@ type t = {
   mutable index : Index.t option;
   (* full-check plans, keyed by constraint name *)
   full_plans : (string, Xic_xquery.Eval.compiled) Hashtbl.t;
-  mutable parallelism : int;
   (* committed-transaction counter; {!pin} stamps it into snapshots so
      readers can tell which state they are looking at *)
   mutable generation : int;
@@ -139,19 +138,13 @@ let create schema =
     deltas =
       { flushes = 0; facts_added = 0; facts_removed = 0; net = Delta.create () };
     eval_budget = None; use_index = true; index = None;
-    full_plans = Hashtbl.create 16; parallelism = 1; generation = 0;
+    full_plans = Hashtbl.create 16; generation = 0;
     mutations = 0; retained = Hashtbl.create 8; retain_keep = 8 }
 
 let generation t = t.generation
 
 let set_eval_budget t b = t.eval_budget <- b
 let eval_budget t = t.eval_budget
-
-let set_parallelism t jobs =
-  if jobs < 1 then fail "parallelism must be at least 1";
-  t.parallelism <- jobs
-
-let parallelism t = t.parallelism
 
 let plan_stats (_ : t) =
   { plan_hits = Obs.Metrics.value c_plan_hits;
@@ -486,20 +479,7 @@ let check_full t =
     then Some c.Constr.name
     else None
   in
-  if t.parallelism <= 1 || t.eval_budget <> None || List.length plans < 2 then
-    List.filter_map violated plans
-  else begin
-    (* Freeze the index into its read-only phase so worker domains never
-       race on cache tables, then evaluate the independent denials in
-       parallel.  The merge is deterministic: verdicts keep constraint
-       registration order, and Pool.map re-raises the earliest failure. *)
-    (match idx with Some i -> Index.prepare_shared i | None -> ());
-    Fun.protect
-      ~finally:(fun () -> match idx with Some i -> Index.unshare i | None -> ())
-      (fun () ->
-        Pool.map ~jobs:t.parallelism violated plans
-        |> List.filter_map (fun v -> v))
-  end)
+  List.filter_map violated plans)
 
 let check_full_datalog t =
   let s = store t in

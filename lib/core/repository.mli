@@ -54,18 +54,6 @@ val set_eval_budget : t -> int option -> unit
 
 val eval_budget : t -> int option
 
-val set_parallelism : t -> int -> unit
-(** Number of domains {!check_full} may use to evaluate independent
-    denial checks concurrently (default 1 = sequential).  Parallel
-    checking requires at least two constraints and no installed
-    {!set_eval_budget} (budgets are per-domain); otherwise the check
-    silently runs sequentially.  Verdicts are identical either way: the
-    document is read-only during the check, the index is frozen into its
-    shared phase, and the merge preserves constraint order.
-    @raise Repository_error when [jobs < 1]. *)
-
-val parallelism : t -> int
-
 val plan_stats : t -> plan_stats
 (** Cumulative plan-cache counters over full and simplified checks. *)
 

@@ -27,8 +27,7 @@ let level_of_string s =
 type format = Text | Json
 
 (* Sink state.  A single mutex serializes emission: log volume is
-   request-grained, not check-grained, so contention is irrelevant and
-   interleaved half-lines from pool domains are not. *)
+   request-grained, not check-grained, so contention is irrelevant. *)
 let mutex = Mutex.create ()
 let sink : out_channel option ref = ref None
 let sink_owned = ref false (* opened by [open_path]: close on replace *)
@@ -38,8 +37,7 @@ let base_ns = Obs.Clock.now_ns ()
 let emitted = ref 0
 
 (* The ambient trace id is intentionally a plain ref, not DLS: the
-   server loop that sets it is single-threaded, and pool workers log
-   through the same request context anyway. *)
+   server loop that sets it is single-threaded. *)
 let current_trace : string option ref = ref None
 
 let set_trace_id t = current_trace := t

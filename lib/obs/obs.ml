@@ -4,13 +4,7 @@
    off (the common case), the cost of an instrumented call site must be
    a single load-and-branch — no allocation, no closure, no clock read.
    [Trace.with_span] therefore takes the thunk last and checks the
-   static [enabled] flag before touching anything else.
-
-   Spans are collected per domain (via [Domain.DLS]) so parallel
-   checking under {!Xic_core.Pool} never contends on a shared buffer;
-   the pool drains each worker's buffer after the join and grafts it
-   under the main domain's open span, which restores a single coherent
-   tree for export. *)
+   static [enabled] flag before touching anything else. *)
 
 module Clock = struct
   external now_ns : unit -> (int64[@unboxed])
@@ -26,7 +20,6 @@ module Trace = struct
   type span = {
     name : string;
     mutable attrs : (string * string) list;
-    dom : int; (* domain id at creation; becomes the Chrome [tid] *)
     start_ns : int64;
     mutable stop_ns : int64;
     mutable children : span list; (* newest-first while building *)
@@ -96,8 +89,8 @@ module Trace = struct
     else begin
       let c = ctx () in
       let sp =
-        { name; attrs; dom = (Domain.self () :> int);
-          start_ns = Clock.now_ns (); stop_ns = 0L; children = []; slow }
+        { name; attrs; start_ns = Clock.now_ns (); stop_ns = 0L;
+          children = []; slow }
       in
       c.stack <- sp :: c.stack;
       Fun.protect ~finally:(fun () -> finish c sp) f
@@ -108,8 +101,8 @@ module Trace = struct
       let c = ctx () in
       let now = Clock.now_ns () in
       let sp =
-        { name; attrs; dom = (Domain.self () :> int);
-          start_ns = now; stop_ns = now; children = []; slow = false }
+        { name; attrs; start_ns = now; stop_ns = now; children = [];
+          slow = false }
       in
       match c.stack with
       | parent :: _ -> parent.children <- sp :: parent.children
@@ -135,18 +128,6 @@ module Trace = struct
     let rs = List.rev c.roots in
     c.roots <- [];
     rs
-
-  (* Graft spans collected on another domain under the current open
-     span (or as roots when none is open).  Used by the pool after
-     joining workers. *)
-  let absorb spans =
-    if !enabled then begin
-      let c = ctx () in
-      match c.stack with
-      | parent :: _ ->
-        parent.children <- List.rev_append spans parent.children
-      | [] -> c.roots <- List.rev_append spans c.roots
-    end
 
   (* --- export ---------------------------------------------------- *)
 
@@ -174,7 +155,8 @@ module Trace = struct
 
   (* Chrome trace_event "complete" events: one object per span, with
      microsecond [ts]/[dur] relative to the earliest span so the viewer
-     timeline starts at zero.  [tid] is the originating domain. *)
+     timeline starts at zero.  The checker runs on one thread, so [tid]
+     is always 0. *)
   let to_chrome_json spans =
     let base =
       List.fold_left
@@ -190,8 +172,8 @@ module Trace = struct
       if !first then first := false else Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
-           "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f"
-           (json_escape sp.name) sp.dom (us_of sp.start_ns)
+           "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":%.3f,\"dur\":%.3f"
+           (json_escape sp.name) (us_of sp.start_ns)
            (Int64.to_float (Int64.sub sp.stop_ns sp.start_ns) /. 1e3));
       (match sp.attrs with
        | [] -> ()

@@ -14,7 +14,6 @@ module Trace : sig
   type span = {
     name : string;
     mutable attrs : (string * string) list;
-    dom : int;
     start_ns : int64;
     mutable stop_ns : int64;
     mutable children : span list; (* newest-first while building *)
@@ -43,19 +42,14 @@ module Trace : sig
   (** Completed top-level spans of the current domain, oldest first. *)
   val roots : unit -> span list
 
-  (** Like {!roots}, but also clears them.  Workers call this before
-      their domain exits. *)
+  (** Like {!roots}, but also clears them. *)
   val drain : unit -> span list
-
-  (** Graft drained spans under the current domain's innermost open
-      span (or as roots).  Called by the pool after joining workers. *)
-  val absorb : span list -> unit
 
   val span_count : span list -> int
   val duration_ms : span -> float
 
   (** Chrome [trace_event] JSON ("complete" events, µs timestamps
-      relative to the earliest span, [tid] = domain id). *)
+      relative to the earliest span, [tid] 0). *)
   val to_chrome_json : span list -> string
 
   (** Indented text rendering of the span forest. *)

@@ -9,7 +9,7 @@
     The table is global and append-only.  Reads ([name], the fast path of
     [intern]) are lock-free: they consult copy-on-write snapshots that are
     immutable once published, so they are safe from any number of domains
-    concurrently (used by the parallel checker).  Inserts take a mutex. *)
+    concurrently.  Inserts take a mutex. *)
 
 type t = private int
 (** An interned name.  The representation is the dense table index, so

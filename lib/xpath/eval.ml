@@ -22,9 +22,8 @@ exception Budget_exceeded
 
 (* The remaining-steps counter, shared with the XQuery evaluator (which
    installs it through [with_budget] and ticks it for its own constructs).
-   Domain-local so each worker of the parallel checker meters (or, in
-   practice, runs unmetered) independently.  No counter installed =
-   unlimited evaluation. *)
+   Domain-local, so a budget installed in one domain never meters
+   another.  No counter installed = unlimited evaluation. *)
 let budget_key : int ref option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let tick n =
