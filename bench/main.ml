@@ -66,21 +66,6 @@ let time_stats ?(reps = 5) ?(batch = 1) ?(clean = false) f =
   in
   (median, samples.(0))
 
-(* Accumulated machine-readable results, written when --json is given. *)
-let json_sections : (string * string) list ref = ref []
-
-let add_json name value = json_sections := !json_sections @ [ (name, value) ]
-
-let write_json path ~reps =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"reps\": %d" reps;
-  List.iter
-    (fun (name, value) -> Printf.fprintf oc ",\n  %S: %s" name value)
-    !json_sections;
-  output_string oc "\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
 type setup = {
   repo : Repository.t;
   pattern : Pattern.t;
@@ -102,62 +87,50 @@ let setup ~size ~constraint_ () =
 (* The three curves of Figure 1: full check, optimized check, and
    update + full check + rollback (the paper's diamonds, squares and
    triangles). *)
-let figure ?json_key ~name ~constraint_ ~sizes ~reps () =
+let figure ~name ~constraint_ ~sizes ~reps () =
   Printf.printf "# %s\n" name;
   Printf.printf
     "# %-12s %-10s %-14s %-14s %-20s %s\n" "size(bytes)" "subs"
     "original(ms)" "optimized(ms)" "upd+check+undo(ms)" "speedup";
-  let rows =
-    List.map
-      (fun size ->
-        let { repo; pattern; ds } = setup ~size ~constraint_ () in
-        let legal =
-          Conf.insert_submission ~select:ds.Gen.legal_select ~title:"Bench Paper"
-            ~author:ds.Gen.legal_author
-        in
-        let valuation =
-          match Repository.match_update repo legal with
-          | Some (_, v) -> v
-          | None -> failwith "bench update must match the pattern"
-        in
-        let orig_med, orig_min =
-          time_stats ~reps (fun () -> Repository.check_full repo)
-        in
-        let opt_med, opt_min =
-          time_stats ~reps ~batch:20 (fun () ->
-              Repository.check_optimized repo pattern valuation)
-        in
-        let upd_med, _ =
-          time_stats ~reps (fun () ->
-              let undo = Repository.apply_unchecked repo legal in
-              let r = Repository.check_full repo in
-              Repository.rollback repo undo;
-              r)
-        in
-        let speedup = orig_med /. (opt_med +. 1e-9) in
-        Printf.printf "%-14d %-10d %-14.3f %-14.4f %-20.3f %.0fx\n%!"
-          ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions orig_med opt_med
-          upd_med speedup;
-        Printf.sprintf
-          "{\"bytes\": %d, \"subs\": %d, \"full_median_ms\": %.4f, \
-           \"full_min_ms\": %.4f, \"optimized_median_ms\": %.5f, \
-           \"optimized_min_ms\": %.5f, \"upd_check_undo_median_ms\": %.4f, \
-           \"speedup\": %.1f}"
-          ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions orig_med orig_min
-          opt_med opt_min upd_med speedup)
-      sizes
-  in
-  (match json_key with
-   | Some key -> add_json key ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]")
-   | None -> ());
+  List.iter
+    (fun size ->
+      let { repo; pattern; ds } = setup ~size ~constraint_ () in
+      let legal =
+        Conf.insert_submission ~select:ds.Gen.legal_select ~title:"Bench Paper"
+          ~author:ds.Gen.legal_author
+      in
+      let valuation =
+        match Repository.match_update repo legal with
+        | Some (_, v) -> v
+        | None -> failwith "bench update must match the pattern"
+      in
+      let orig_med, _ =
+        time_stats ~reps (fun () -> Repository.check_full repo)
+      in
+      let opt_med, _ =
+        time_stats ~reps ~batch:20 (fun () ->
+            Repository.check_optimized repo pattern valuation)
+      in
+      let upd_med, _ =
+        time_stats ~reps (fun () ->
+            let undo = Repository.apply_unchecked repo legal in
+            let r = Repository.check_full repo in
+            Repository.rollback repo undo;
+            r)
+      in
+      let speedup = orig_med /. (opt_med +. 1e-9) in
+      Printf.printf "%-14d %-10d %-14.3f %-14.4f %-20.3f %.0fx\n%!"
+        ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions orig_med opt_med
+        upd_med speedup)
+    sizes;
   print_newline ()
 
 let fig1a ~sizes ~reps () =
-  figure ~json_key:"fig1a" ~name:"Figure 1(a) — Conflict of interests (Example 1)"
+  figure ~name:"Figure 1(a) — Conflict of interests (Example 1)"
     ~constraint_:Conf.conflict ~sizes ~reps ()
 
 let fig1b ~sizes ~reps () =
-  figure ~json_key:"fig1b" ~name:"Figure 1(b) — Conference workload (Example 2)"
+  figure ~name:"Figure 1(b) — Conference workload (Example 2)"
     ~constraint_:Conf.workload ~sizes ~reps ()
 
 (* ------------------------------------------------------------------ *)
@@ -204,24 +177,8 @@ let pipeline ~sizes ~reps () =
     interp_min;
   Printf.printf "%-28s %-12.3f %.3f\n%!" "compiled (cached plans)" compiled_med
     compiled_min;
-  let stats = Repository.plan_stats repo in
   Printf.printf "%s\n" (Repository.plan_stats_line repo);
-  Printf.printf "symbols interned: %d\n\n%!" (Symbol.count ());
-  add_json "pipeline"
-    (Printf.sprintf
-       "{\n\
-       \    \"size_bytes\": %d,\n\
-       \    \"interpreted_median_ms\": %.4f,\n\
-       \    \"interpreted_min_ms\": %.4f,\n\
-       \    \"compiled_median_ms\": %.4f,\n\
-       \    \"compiled_min_ms\": %.4f,\n\
-       \    \"plan_hits\": %d,\n\
-       \    \"plan_misses\": %d,\n\
-       \    \"symbols_interned\": %d,\n\
-       \    \"verdicts_agree\": true\n\
-       \  }"
-       ds.Gen.stats.Gen.bytes interp_med interp_min compiled_med compiled_min
-       stats.Repository.plan_hits stats.Repository.plan_misses (Symbol.count ()))
+  Printf.printf "symbols interned: %d\n\n%!" (Symbol.count ())
 
 (* ------------------------------------------------------------------ *)
 (* PR 4: per-stage breakdown from the tracing layer                     *)
@@ -231,69 +188,57 @@ let pipeline ~sizes ~reps () =
    parse, pattern simplification, XQuery translation, relational shred,
    plan compilation and evaluation, each read off the span tree.  Also
    measures the steady-state full check with tracing off and on — the
-   disabled cost is the one the <3% regression gate watches. *)
+   disabled cost is the one held to the <3% instrumentation bar. *)
 let stages ~sizes ~reps () =
   let size = List.fold_left max 0 sizes in
   Printf.printf "# Per-stage breakdown (traced cold run, %d bytes)\n" size;
   let stage_names =
     [ "parse"; "simplify"; "translate"; "shred"; "compile"; "eval" ]
   in
-  let rows =
-    List.map
-      (fun (key, constraint_) ->
-        Obs.Trace.set_enabled true;
-        Obs.Metrics.set_detailed true;
-        Obs.Trace.reset ();
-        let { repo; _ } = setup ~size ~constraint_ () in
-        ignore (Repository.store repo : Xic_datalog.Store.t);
-        ignore (Repository.check_full repo : string list);
-        let roots = Obs.Trace.roots () in
-        Obs.Trace.set_enabled false;
-        Obs.Metrics.set_detailed false;
-        Obs.Trace.reset ();
-        let totals = Hashtbl.create 16 in
-        let rec walk (sp : Obs.Trace.span) =
-          let prev =
-            Option.value ~default:0.0
-              (Hashtbl.find_opt totals sp.Obs.Trace.name)
-          in
-          Hashtbl.replace totals sp.Obs.Trace.name
-            (prev +. Obs.Trace.duration_ms sp);
-          List.iter walk sp.Obs.Trace.children
+  List.iter
+    (fun (key, constraint_) ->
+      Obs.Trace.set_enabled true;
+      Obs.Metrics.set_detailed true;
+      Obs.Trace.reset ();
+      let { repo; _ } = setup ~size ~constraint_ () in
+      ignore (Repository.store repo : Xic_datalog.Store.t);
+      ignore (Repository.check_full repo : string list);
+      let roots = Obs.Trace.roots () in
+      Obs.Trace.set_enabled false;
+      Obs.Metrics.set_detailed false;
+      Obs.Trace.reset ();
+      let totals = Hashtbl.create 16 in
+      let rec walk (sp : Obs.Trace.span) =
+        let prev =
+          Option.value ~default:0.0
+            (Hashtbl.find_opt totals sp.Obs.Trace.name)
         in
-        List.iter walk roots;
-        let get n = Option.value ~default:0.0 (Hashtbl.find_opt totals n) in
-        Printf.printf "%-7s" key;
-        List.iter (fun n -> Printf.printf " %s=%.3f" n (get n)) stage_names;
-        Printf.printf " (ms)\n%!";
-        (* steady-state full check, instrumentation off vs on *)
-        let off_med, _ =
-          time_stats ~reps (fun () -> Repository.check_full repo)
-        in
-        Obs.Trace.set_enabled true;
-        Obs.Metrics.set_detailed true;
-        let on_med, _ =
-          time_stats ~reps (fun () -> Repository.check_full repo)
-        in
-        Obs.Trace.set_enabled false;
-        Obs.Metrics.set_detailed false;
-        Obs.Trace.reset ();
-        Printf.printf
-          "%-7s full check: tracing off %.3f ms | on %.3f ms (%+.1f%%)\n%!" key
-          off_med on_med
-          ((on_med -. off_med) /. (off_med +. 1e-9) *. 100.0);
-        Printf.sprintf
-          "{\"figure\": %S, %s, \"full_untraced_median_ms\": %.4f, \
-           \"full_traced_median_ms\": %.4f}"
-          key
-          (String.concat ", "
-             (List.map
-                (fun n -> Printf.sprintf "\"%s_ms\": %.4f" n (get n))
-                stage_names))
-          off_med on_med)
-      [ ("fig1a", Conf.conflict); ("fig1b", Conf.workload) ]
-  in
-  add_json "stages" ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");
+        Hashtbl.replace totals sp.Obs.Trace.name
+          (prev +. Obs.Trace.duration_ms sp);
+        List.iter walk sp.Obs.Trace.children
+      in
+      List.iter walk roots;
+      let get n = Option.value ~default:0.0 (Hashtbl.find_opt totals n) in
+      Printf.printf "%-7s" key;
+      List.iter (fun n -> Printf.printf " %s=%.3f" n (get n)) stage_names;
+      Printf.printf " (ms)\n%!";
+      (* steady-state full check, instrumentation off vs on *)
+      let off_med, _ =
+        time_stats ~reps (fun () -> Repository.check_full repo)
+      in
+      Obs.Trace.set_enabled true;
+      Obs.Metrics.set_detailed true;
+      let on_med, _ =
+        time_stats ~reps (fun () -> Repository.check_full repo)
+      in
+      Obs.Trace.set_enabled false;
+      Obs.Metrics.set_detailed false;
+      Obs.Trace.reset ();
+      Printf.printf
+        "%-7s full check: tracing off %.3f ms | on %.3f ms (%+.1f%%)\n%!" key
+        off_med on_med
+        ((on_med -. off_med) /. (off_med +. 1e-9) *. 100.0))
+    [ ("fig1a", Conf.conflict); ("fig1b", Conf.workload) ];
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -304,65 +249,55 @@ let ingest ~sizes ~reps () =
   Printf.printf "# Ingestion (cold load of both documents into a fresh repo)\n";
   Printf.printf "# %-12s %-10s %-15s %-19s %-12s %s\n" "size(bytes)" "subs"
     "parse_only(ms)" "legacy_p+shred(ms)" "fused(ms)" "speedup";
-  let rows =
-    List.map
-      (fun size ->
-        let s = Conf.schema () in
-        let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-        let parse_only () =
-          ignore (Xic_xml.Xml_parser.parse_string ds.Gen.pub_xml);
-          ignore (Xic_xml.Xml_parser.parse_string ds.Gen.rev_xml)
-        in
-        let legacy () =
-          let repo = Repository.create s in
-          Repository.load_document ~validate:false repo ds.Gen.pub_xml;
-          Repository.load_document ~validate:false repo ds.Gen.rev_xml;
-          (* force the second-walk shred the legacy path defers *)
-          ignore (Repository.store repo : Xic_datalog.Store.t);
-          repo
-        in
-        let fused () =
-          let repo = Repository.create s in
-          Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-          Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-          (* already materialised during the parse: a field read *)
-          ignore (Repository.store repo : Xic_datalog.Store.t);
-          repo
-        in
-        (* Both load paths must agree exactly: same facts, same verdicts
-           on Examples 1 and 2, at every size. *)
-        let repo_l = legacy () and repo_f = fused () in
-        if
-          not
-            (Xic_datalog.Store.equal (Repository.store repo_l)
-               (Repository.store repo_f))
-        then failwith "ingest: fused and legacy stores differ";
-        List.iter
-          (fun constraint_ ->
-            let c = constraint_ s in
-            Repository.add_constraint repo_l c;
-            Repository.add_constraint repo_f c;
-            let vl = Repository.check_full repo_l
-            and vf = Repository.check_full repo_f in
-            if vl <> vf then failwith "ingest: fused and legacy verdicts differ")
-          [ Conf.conflict; Conf.workload ];
-        let p_med, p_min = time_stats ~reps (fun () -> parse_only ()) in
-        let l_med, l_min = time_stats ~reps (fun () -> ignore (legacy ())) in
-        let f_med, f_min = time_stats ~reps (fun () -> ignore (fused ())) in
-        let speedup = l_med /. (f_med +. 1e-9) in
-        Printf.printf "%-14d %-10d %-15.3f %-19.3f %-12.3f %.1fx\n%!"
-          ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions p_med l_med f_med
-          speedup;
-        Printf.sprintf
-          "{\"bytes\": %d, \"subs\": %d, \"parse_only_median_ms\": %.4f, \
-           \"parse_only_min_ms\": %.4f, \"legacy_parse_shred_median_ms\": %.4f, \
-           \"legacy_parse_shred_min_ms\": %.4f, \"fused_median_ms\": %.4f, \
-           \"fused_min_ms\": %.4f, \"speedup\": %.1f}"
-          ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions p_med p_min l_med
-          l_min f_med f_min speedup)
-      sizes
-  in
-  add_json "ingest" ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");
+  List.iter
+    (fun size ->
+      let s = Conf.schema () in
+      let ds = Gen.generate ~seed:42 ~target_bytes:size () in
+      let parse_only () =
+        ignore (Xic_xml.Xml_parser.parse_string ds.Gen.pub_xml);
+        ignore (Xic_xml.Xml_parser.parse_string ds.Gen.rev_xml)
+      in
+      let legacy () =
+        let repo = Repository.create s in
+        Repository.load_document ~validate:false repo ds.Gen.pub_xml;
+        Repository.load_document ~validate:false repo ds.Gen.rev_xml;
+        (* force the second-walk shred the legacy path defers *)
+        ignore (Repository.store repo : Xic_datalog.Store.t);
+        repo
+      in
+      let fused () =
+        let repo = Repository.create s in
+        Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
+        Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
+        (* already materialised during the parse: a field read *)
+        ignore (Repository.store repo : Xic_datalog.Store.t);
+        repo
+      in
+      (* Both load paths must agree exactly: same facts, same verdicts
+         on Examples 1 and 2, at every size. *)
+      let repo_l = legacy () and repo_f = fused () in
+      if
+        not
+          (Xic_datalog.Store.equal (Repository.store repo_l)
+             (Repository.store repo_f))
+      then failwith "ingest: fused and legacy stores differ";
+      List.iter
+        (fun constraint_ ->
+          let c = constraint_ s in
+          Repository.add_constraint repo_l c;
+          Repository.add_constraint repo_f c;
+          let vl = Repository.check_full repo_l
+          and vf = Repository.check_full repo_f in
+          if vl <> vf then failwith "ingest: fused and legacy verdicts differ")
+        [ Conf.conflict; Conf.workload ];
+      let p_med, _ = time_stats ~reps (fun () -> parse_only ()) in
+      let l_med, _ = time_stats ~reps (fun () -> ignore (legacy ())) in
+      let f_med, _ = time_stats ~reps (fun () -> ignore (fused ())) in
+      let speedup = l_med /. (f_med +. 1e-9) in
+      Printf.printf "%-14d %-10d %-15.3f %-19.3f %-12.3f %.1fx\n%!"
+        ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions p_med l_med f_med
+        speedup)
+    sizes;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -378,73 +313,60 @@ let coldstart ~sizes ~reps () =
     "# Cold start (rebuild repo + store: XML parse vs fused load vs snapshot)\n";
   Printf.printf "# %-12s %-10s %-15s %-12s %-14s %s\n" "size(bytes)" "subs"
     "parse_only(ms)" "fused(ms)" "snapshot(ms)" "snap_speedup";
-  let rows =
-    List.map
-      (fun size ->
-        let s = Conf.schema () in
-        let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-        let spath = Printf.sprintf "bench_coldstart_%d.xis" size in
-        let parse_only () =
-          ignore (Xic_xml.Xml_parser.parse_string ds.Gen.pub_xml);
-          ignore (Xic_xml.Xml_parser.parse_string ds.Gen.rev_xml)
-        in
-        let fused () =
-          let repo = Repository.create s in
-          Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-          Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-          ignore (Repository.store repo : Xic_datalog.Store.t);
-          repo
-        in
-        let snap_bytes =
-          (Repository.checkpoint (fused ()) spath).Repository.snapshot_bytes
-        in
-        let snap_load () =
-          let repo = Repository.create s in
-          ignore (Repository.load_snapshot repo spath);
-          ignore (Repository.store repo : Xic_datalog.Store.t);
-          repo
-        in
-        (* The snapshot must restore the exact state: same facts, same
-           verdicts on Examples 1 and 2, at every size. *)
-        let repo_f = fused () and repo_s = snap_load () in
-        if
-          not
-            (Xic_datalog.Store.equal (Repository.store repo_f)
-               (Repository.store repo_s))
-        then failwith "coldstart: snapshot and fused stores differ";
-        List.iter
-          (fun constraint_ ->
-            let c = constraint_ s in
-            Repository.add_constraint repo_f c;
-            Repository.add_constraint repo_s c;
-            let vf = Repository.check_full repo_f
-            and vs = Repository.check_full repo_s in
-            if vf <> vs then
-              failwith "coldstart: snapshot and fused verdicts differ")
-          [ Conf.conflict; Conf.workload ];
-        let p_med, p_min = time_stats ~reps ~clean:true (fun () -> parse_only ()) in
-        let f_med, f_min =
-          time_stats ~reps ~clean:true (fun () -> ignore (fused ()))
-        in
-        let s_med, s_min =
-          time_stats ~reps ~clean:true (fun () -> ignore (snap_load ()))
-        in
-        Sys.remove spath;
-        let speedup = f_med /. (s_med +. 1e-9) in
-        Printf.printf "%-14d %-10d %-15.3f %-12.3f %-14.3f %.1fx\n%!"
-          ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions p_med f_med s_med
-          speedup;
-        Printf.sprintf
-          "{\"bytes\": %d, \"subs\": %d, \"snapshot_bytes\": %d, \
-           \"parse_only_median_ms\": %.4f, \"parse_only_min_ms\": %.4f, \
-           \"fused_median_ms\": %.4f, \"fused_min_ms\": %.4f, \
-           \"snapshot_median_ms\": %.4f, \"snapshot_min_ms\": %.4f, \
-           \"snap_speedup\": %.1f}"
-          ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions snap_bytes p_med
-          p_min f_med f_min s_med s_min speedup)
-      sizes
-  in
-  add_json "coldstart" ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");
+  List.iter
+    (fun size ->
+      let s = Conf.schema () in
+      let ds = Gen.generate ~seed:42 ~target_bytes:size () in
+      let spath = Printf.sprintf "bench_coldstart_%d.xis" size in
+      let parse_only () =
+        ignore (Xic_xml.Xml_parser.parse_string ds.Gen.pub_xml);
+        ignore (Xic_xml.Xml_parser.parse_string ds.Gen.rev_xml)
+      in
+      let fused () =
+        let repo = Repository.create s in
+        Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
+        Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
+        ignore (Repository.store repo : Xic_datalog.Store.t);
+        repo
+      in
+      ignore (Repository.checkpoint (fused ()) spath : Repository.checkpoint_report);
+      let snap_load () =
+        let repo = Repository.create s in
+        ignore (Repository.load_snapshot repo spath);
+        ignore (Repository.store repo : Xic_datalog.Store.t);
+        repo
+      in
+      (* The snapshot must restore the exact state: same facts, same
+         verdicts on Examples 1 and 2, at every size. *)
+      let repo_f = fused () and repo_s = snap_load () in
+      if
+        not
+          (Xic_datalog.Store.equal (Repository.store repo_f)
+             (Repository.store repo_s))
+      then failwith "coldstart: snapshot and fused stores differ";
+      List.iter
+        (fun constraint_ ->
+          let c = constraint_ s in
+          Repository.add_constraint repo_f c;
+          Repository.add_constraint repo_s c;
+          let vf = Repository.check_full repo_f
+          and vs = Repository.check_full repo_s in
+          if vf <> vs then
+            failwith "coldstart: snapshot and fused verdicts differ")
+        [ Conf.conflict; Conf.workload ];
+      let p_med, _ = time_stats ~reps ~clean:true (fun () -> parse_only ()) in
+      let f_med, _ =
+        time_stats ~reps ~clean:true (fun () -> ignore (fused ()))
+      in
+      let s_med, _ =
+        time_stats ~reps ~clean:true (fun () -> ignore (snap_load ()))
+      in
+      Sys.remove spath;
+      let speedup = f_med /. (s_med +. 1e-9) in
+      Printf.printf "%-14d %-10d %-15.3f %-12.3f %-14.3f %.1fx\n%!"
+        ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions p_med f_med s_med
+        speedup)
+    sizes;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -799,68 +721,59 @@ let incremental_bench ~sizes ~reps () =
   Printf.printf "# %-12s %-6s %-14s %-16s %s\n" "size(bytes)" "stmts"
     "full(ms)" "incremental(ms)" "speedup";
   let ks = [ 1; 4; 16 ] in
-  let rows =
-    List.concat_map
-      (fun size ->
-        let { repo; ds; _ } = setup ~size ~constraint_:Conf.conflict () in
-        Repository.set_incremental repo true;
-        ignore (Repository.check_incremental repo : string list);
-        List.map
-          (fun k ->
-            let u =
-              List.concat
-                (List.init k (fun i ->
-                     Conf.insert_submission ~select:ds.Gen.legal_select
-                       ~title:(Printf.sprintf "Bench Paper %d" i)
-                       ~author:ds.Gen.legal_author))
-            in
-            (* verdict parity, once per row *)
+  List.iter
+    (fun size ->
+      let { repo; ds; _ } = setup ~size ~constraint_:Conf.conflict () in
+      Repository.set_incremental repo true;
+      ignore (Repository.check_incremental repo : string list);
+      List.iter
+        (fun k ->
+          let u =
+            List.concat
+              (List.init k (fun i ->
+                   Conf.insert_submission ~select:ds.Gen.legal_select
+                     ~title:(Printf.sprintf "Bench Paper %d" i)
+                     ~author:ds.Gen.legal_author))
+          in
+          (* verdict parity, once per row *)
+          let undo = Repository.apply_unchecked repo u in
+          let full = List.sort compare (Repository.check_full repo) in
+          let incr = List.sort compare (Repository.check_incremental repo) in
+          if full <> incr then failwith "incremental verdict diverged";
+          Repository.rollback repo undo;
+          ignore (Repository.check_incremental repo : string list);
+          let median f =
+            ignore (f ());
+            let n = max reps 5 in
+            let s = Array.init n (fun _ -> f ()) in
+            Array.sort Float.compare s;
+            s.(n / 2)
+          in
+          let sample_full () =
             let undo = Repository.apply_unchecked repo u in
-            let full = List.sort compare (Repository.check_full repo) in
-            let incr = List.sort compare (Repository.check_incremental repo) in
-            if full <> incr then failwith "incremental verdict diverged";
+            let t0 = now () in
+            ignore (Repository.check_full repo : string list);
+            let dt = (now () -. t0) *. 1000.0 in
             Repository.rollback repo undo;
+            dt
+          in
+          let sample_incr () =
+            let undo = Repository.apply_unchecked repo u in
+            let t0 = now () in
             ignore (Repository.check_incremental repo : string list);
-            let median f =
-              ignore (f ());
-              let n = max reps 5 in
-              let s = Array.init n (fun _ -> f ()) in
-              Array.sort Float.compare s;
-              s.(n / 2)
-            in
-            let sample_full () =
-              let undo = Repository.apply_unchecked repo u in
-              let t0 = now () in
-              ignore (Repository.check_full repo : string list);
-              let dt = (now () -. t0) *. 1000.0 in
-              Repository.rollback repo undo;
-              dt
-            in
-            let sample_incr () =
-              let undo = Repository.apply_unchecked repo u in
-              let t0 = now () in
-              ignore (Repository.check_incremental repo : string list);
-              let dt = (now () -. t0) *. 1000.0 in
-              Repository.rollback repo undo;
-              (* consume the inverse delta outside the timed window *)
-              ignore (Repository.check_incremental repo : string list);
-              dt
-            in
-            let full_ms = median sample_full in
-            let incr_ms = median sample_incr in
-            let speedup = full_ms /. (incr_ms +. 1e-9) in
-            Printf.printf "%-14d %-6d %-14.3f %-16.4f %.0fx\n%!"
-              ds.Gen.stats.Gen.bytes k full_ms incr_ms speedup;
-            Printf.sprintf
-              "{\"bytes\": %d, \"subs\": %d, \"stmts\": %d, \
-               \"full_median_ms\": %.4f, \"incremental_median_ms\": %.5f, \
-               \"speedup\": %.1f}"
-              ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions k full_ms
-              incr_ms speedup)
-          ks)
-      sizes
-  in
-  add_json "incremental" ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");
+            let dt = (now () -. t0) *. 1000.0 in
+            Repository.rollback repo undo;
+            (* consume the inverse delta outside the timed window *)
+            ignore (Repository.check_incremental repo : string list);
+            dt
+          in
+          let full_ms = median sample_full in
+          let incr_ms = median sample_incr in
+          let speedup = full_ms /. (incr_ms +. 1e-9) in
+          Printf.printf "%-14d %-6d %-14.3f %-16.4f %.0fx\n%!"
+            ds.Gen.stats.Gen.bytes k full_ms incr_ms speedup)
+        ks)
+    sizes;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -924,7 +837,6 @@ let server_bench ~reps () =
         Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
         Repository.add_constraint repo (Conf.conflict s);
         Repository.register_pattern repo (Conf.submission_pattern s);
-        Repository.set_incremental repo true;
         let j = Xic_journal.Journal.open_ jpath in
         let srv =
           Srv.create
@@ -1045,19 +957,13 @@ let server_bench ~reps () =
      in
      Printf.printf "# %-8s %-22s %-22s %s\n" "batch" "serial(ms/request)"
        "batched(ms/request)" "saving";
-     let guard_rows =
-       List.map
-         (fun k ->
-           let serial_ms, batched_ms = interleaved k in
-           let saving = (serial_ms -. batched_ms) /. serial_ms *. 100.0 in
-           Printf.printf "%-10d %-22.4f %-22.4f %.0f%%\n%!" k serial_ms
-             batched_ms saving;
-           Printf.sprintf
-             "{\"batch\": %d, \"serial_ms_per_request\": %.4f, \
-              \"batched_ms_per_request\": %.4f, \"saving_pct\": %.1f}"
-             k serial_ms batched_ms saving)
-         [ 1; 4; 16 ]
-     in
+     List.iter
+       (fun k ->
+         let serial_ms, batched_ms = interleaved k in
+         let saving = (serial_ms -. batched_ms) /. serial_ms *. 100.0 in
+         Printf.printf "%-10d %-22.4f %-22.4f %.0f%%\n%!" k serial_ms
+           batched_ms saving)
+       [ 1; 4; 16 ];
      (* confirm the pipelined rounds really were applied as batches *)
      let stats =
        Proto.request fd (Proto.Obj [ ("op", Proto.String "stats") ])
@@ -1074,22 +980,6 @@ let server_bench ~reps () =
      (match Unix.waitpid [] child with
       | _, Unix.WEXITED 0 -> ()
       | _ -> failwith "server child did not exit cleanly");
-     add_json "server"
-       (Printf.sprintf
-          "{\n\
-          \    \"size_bytes\": %d,\n\
-          \    \"requests\": %d,\n\
-          \    \"oneshot_checks_per_sec\": %.2f,\n\
-          \    \"oneshot_median_ms\": %.4f,\n\
-          \    \"server_checks_per_sec\": %.2f,\n\
-          \    \"server_p50_ms\": %.4f,\n\
-          \    \"server_p99_ms\": %.4f,\n\
-          \    \"sustained_speedup\": %.1f,\n\
-          \    \"guards\": [%s]\n\
-          \  }"
-          ds.Gen.stats.Gen.bytes n_checks oneshot_rps oneshot_med rps p50 p99
-          speedup
-          (String.concat ", " guard_rows));
      print_newline ())
 
 (* Serve-path cost of the observability stack: request latency against
@@ -1129,7 +1019,6 @@ let server_obs_bench ~reps () =
          Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
          Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
          Repository.add_constraint repo (Conf.conflict s);
-         Repository.set_incremental repo true;
          let srv = Srv.create repo in
          let lfd = Srv.listen (Proto.Unix_sock sock) in
          Srv.serve ~idle_timeout:0.05 srv lfd;
@@ -1218,7 +1107,6 @@ let server_obs_bench ~reps () =
   let overheads =
     List.mapi (fun c (name, _) -> (name, overhead_of c)) fds
   in
-  let plain_ms = List.assoc "plain" meds in
   Printf.printf "# %-30s %-18s %s\n" "configuration" "ms/check (median)"
     "overhead";
   List.iter
@@ -1232,18 +1120,6 @@ let server_obs_bench ~reps () =
       ignore (Proto.request fd (Proto.Obj [ ("op", Proto.String "shutdown") ]));
       Unix.close fd)
     fds;
-  let log_ms = List.assoc "log+metrics" meds in
-  let dbg_ms = List.assoc "debug+trace" meds in
-  add_json "server_obs"
-    (Printf.sprintf
-       "{\"checks_per_round\": %d, \"rounds\": %d, \"plain_ms_per_check\": \
-        %.4f, \"log_metrics_ms_per_check\": %.4f, \
-        \"log_metrics_overhead_pct\": %.2f, \"debug_trace_ms_per_check\": \
-        %.4f, \"debug_trace_overhead_pct\": %.2f}"
-       k n plain_ms log_ms
-       (List.assoc "log+metrics" overheads)
-       dbg_ms
-       (List.assoc "debug+trace" overheads));
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -1261,40 +1137,33 @@ let pins_bench ~sizes ~reps () =
   Printf.printf "# Generation pin open latency vs document size\n";
   Printf.printf "# %-12s %-8s %-14s %-14s %-16s %s\n" "size(bytes)" "facts"
     "pin_open(us)" "freeze(us)" "copy_pin(us)" "speedup";
-  let rows =
-    List.map
-      (fun size ->
-        let { repo; ds; _ } = setup ~size ~constraint_:Conf.conflict () in
-        let st = Repository.store repo in
-        let facts = DStore.total_tuples st in
-        (* the steady pin: retained-table reuse plus refcounting — what
-           the server pays per pin request *)
-        let pin_ms, _ =
-          time_stats ~reps ~batch:1000 (fun () ->
-              let p = Repository.pin repo in
-              Repository.unpin repo p)
-        in
-        (* the cold handle capture behind the first pin of a generation *)
-        let freeze_ms, _ =
-          time_stats ~reps ~batch:1000 (fun () -> DStore.freeze st)
-        in
-        (* what PR 8 paid: rebuild every relation into a private store *)
-        let copy_ms, _ =
-          time_stats ~reps (fun () -> DStore.of_facts (DStore.to_facts st))
-        in
-        let pin_us = pin_ms *. 1000.0 in
-        let freeze_us = freeze_ms *. 1000.0 in
-        let copy_us = copy_ms *. 1000.0 in
-        let speedup = copy_us /. Float.max pin_us freeze_us in
-        Printf.printf "%-14d %-8d %-14.3f %-14.3f %-16.1f %.0fx\n%!" size
-          facts pin_us freeze_us copy_us speedup;
-        Printf.sprintf
-          "{\"bytes\": %d, \"facts\": %d, \"pin_open_us\": %.3f, \
-           \"freeze_us\": %.3f, \"copy_pin_us\": %.1f, \"speedup\": %.0f}"
-          ds.Gen.stats.Gen.bytes facts pin_us freeze_us copy_us speedup)
-      sizes
-  in
-  add_json "pins" ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");
+  List.iter
+    (fun size ->
+      let { repo; _ } = setup ~size ~constraint_:Conf.conflict () in
+      let st = Repository.store repo in
+      let facts = DStore.total_tuples st in
+      (* the steady pin: retained-table reuse plus refcounting — what
+         the server pays per pin request *)
+      let pin_ms, _ =
+        time_stats ~reps ~batch:1000 (fun () ->
+            let p = Repository.pin repo in
+            Repository.unpin repo p)
+      in
+      (* the cold handle capture behind the first pin of a generation *)
+      let freeze_ms, _ =
+        time_stats ~reps ~batch:1000 (fun () -> DStore.freeze st)
+      in
+      (* the copy-based pin: rebuild every relation into a private store *)
+      let copy_ms, _ =
+        time_stats ~reps (fun () -> DStore.of_facts (DStore.to_facts st))
+      in
+      let pin_us = pin_ms *. 1000.0 in
+      let freeze_us = freeze_ms *. 1000.0 in
+      let copy_us = copy_ms *. 1000.0 in
+      let speedup = copy_us /. Float.max pin_us freeze_us in
+      Printf.printf "%-14d %-8d %-14.3f %-14.3f %-16.1f %.0fx\n%!" size
+        facts pin_us freeze_us copy_us speedup)
+    sizes;
   print_newline ()
 
 (* Concurrent pinned readers under writer churn, over the socket: pin
@@ -1314,168 +1183,155 @@ let server_pins_bench ~reps () =
     "pin_open p50/p99(us)" "mixed checks/sec" "pin(bytes)"
     "read_under_pin p50/p99(ms)" "retained";
   let s = Conf.schema () in
-  let rows =
-    List.map
-      (fun size ->
-        let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-        let sock = Filename.temp_file "bench_pins" ".sock" in
-        Sys.remove sock;
-        let jpath = Filename.temp_file "bench_pins" ".j" in
-        Sys.remove jpath;
-        match Unix.fork () with
-        | 0 ->
-          (try
-             let repo = Repository.create s in
-             Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-             Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-             Repository.add_constraint repo (Conf.conflict s);
-             Repository.register_pattern repo (Conf.submission_pattern s);
-             Repository.set_incremental repo true;
-             let j = Xic_journal.Journal.open_ jpath in
-             let srv =
-               Srv.create
-                 ~config:{ Srv.default_config with journal = Some j }
-                 repo
-             in
-             let lfd = Srv.listen (Proto.Unix_sock sock) in
-             Srv.serve ~idle_timeout:0.05 srv lfd;
-             Unix._exit 0
-           with _ -> Unix._exit 97)
-        | child ->
-          Fun.protect ~finally:(fun () ->
-              (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
-              (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
-              List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
-                [ sock; jpath ])
-          @@ fun () ->
-          let rec connect n =
-            match Proto.connect (Proto.Unix_sock sock) with
-            | fd -> fd
-            | exception _ when n > 0 ->
-              ignore (Unix.select [] [] [] 0.1);
-              connect (n - 1)
+  List.iter
+    (fun size ->
+      let ds = Gen.generate ~seed:42 ~target_bytes:size () in
+      let sock = Filename.temp_file "bench_pins" ".sock" in
+      Sys.remove sock;
+      let jpath = Filename.temp_file "bench_pins" ".j" in
+      Sys.remove jpath;
+      match Unix.fork () with
+      | 0 ->
+        (try
+           let repo = Repository.create s in
+           Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
+           Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
+           Repository.add_constraint repo (Conf.conflict s);
+           Repository.register_pattern repo (Conf.submission_pattern s);
+           let j = Xic_journal.Journal.open_ jpath in
+           let srv =
+             Srv.create
+               ~config:{ Srv.default_config with journal = Some j }
+               repo
+           in
+           let lfd = Srv.listen (Proto.Unix_sock sock) in
+           Srv.serve ~idle_timeout:0.05 srv lfd;
+           Unix._exit 0
+         with _ -> Unix._exit 97)
+      | child ->
+        Fun.protect ~finally:(fun () ->
+            (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
+            (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
+            List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
+              [ sock; jpath ])
+        @@ fun () ->
+        let rec connect n =
+          match Proto.connect (Proto.Unix_sock sock) with
+          | fd -> fd
+          | exception _ when n > 0 ->
+            ignore (Unix.select [] [] [] 0.1);
+            connect (n - 1)
+        in
+        let fd = connect 200 in
+        let rq j = Proto.request fd j in
+        let check_req = Proto.Obj [ ("op", Proto.String "check") ] in
+        ignore (rq check_req) (* warm up *);
+        (* pin open latency over the wire; the opened pins are real,
+           the first [pins_held] stay held through the churn below *)
+        let n_pins = max 100 (reps * 20) in
+        let pin_ids = ref [] in
+        let pin_lat =
+          Array.init n_pins (fun _ ->
+              let t0 = now () in
+              let resp = rq (Proto.Obj [ ("op", Proto.String "pin") ]) in
+              let dt = (now () -. t0) *. 1e6 in
+              (match Proto.int_field "pin" resp with
+               | Some id -> pin_ids := id :: !pin_ids
+               | None -> failwith "pin request failed");
+              dt)
+        in
+        Array.sort Float.compare pin_lat;
+        let pin_p50 = percentile pin_lat 50.0
+        and pin_p99 = percentile pin_lat 99.0 in
+        let held, spare =
+          let ids = List.rev !pin_ids in
+          (List.filteri (fun i _ -> i < pins_held) ids,
+           List.filteri (fun i _ -> i >= pins_held) ids)
+        in
+        List.iter
+          (fun id ->
+            ignore
+              (rq
+                 (Proto.Obj
+                    [ ("op", Proto.String "unpin"); ("pin", Proto.Int id) ])))
+          spare;
+        (* mixed workload: timed plain-check bursts with (untimed)
+           guard commits between them — every burst runs against a
+           newer generation while the held pins stay at the old one *)
+        let guard i =
+          let resp =
+            rq
+              (Proto.Obj
+                 [ ("op", Proto.String "guard");
+                   ( "update",
+                     Proto.String
+                       (Xic_xupdate.Xupdate.to_string
+                          (Conf.insert_submission ~select:ds.Gen.legal_select
+                             ~title:(Printf.sprintf "Churn %d" i)
+                             ~author:ds.Gen.legal_author)) ) ])
           in
-          let fd = connect 200 in
-          let rq j = Proto.request fd j in
-          let check_req = Proto.Obj [ ("op", Proto.String "check") ] in
-          ignore (rq check_req) (* warm up *);
-          (* pin open latency over the wire; the opened pins are real,
-             the first [pins_held] stay held through the churn below *)
-          let n_pins = max 100 (reps * 20) in
-          let pin_ids = ref [] in
-          let pin_lat =
-            Array.init n_pins (fun _ ->
-                let t0 = now () in
-                let resp = rq (Proto.Obj [ ("op", Proto.String "pin") ]) in
-                let dt = (now () -. t0) *. 1e6 in
-                (match Proto.int_field "pin" resp with
-                 | Some id -> pin_ids := id :: !pin_ids
-                 | None -> failwith "pin request failed");
-                dt)
-          in
-          Array.sort Float.compare pin_lat;
-          let pin_p50 = percentile pin_lat 50.0
-          and pin_p99 = percentile pin_lat 99.0 in
-          let held, spare =
-            let ids = List.rev !pin_ids in
-            (List.filteri (fun i _ -> i < pins_held) ids,
-             List.filteri (fun i _ -> i >= pins_held) ids)
-          in
-          List.iter
-            (fun id ->
-              ignore
-                (rq
-                   (Proto.Obj
-                      [ ("op", Proto.String "unpin"); ("pin", Proto.Int id) ])))
-            spare;
-          (* mixed workload: timed plain-check bursts with (untimed)
-             guard commits between them — every burst runs against a
-             newer generation while the held pins stay at the old one *)
-          let guard i =
-            let resp =
-              rq
-                (Proto.Obj
-                   [ ("op", Proto.String "guard");
-                     ( "update",
-                       Proto.String
-                         (Xic_xupdate.Xupdate.to_string
-                            (Conf.insert_submission ~select:ds.Gen.legal_select
-                               ~title:(Printf.sprintf "Churn %d" i)
-                               ~author:ds.Gen.legal_author)) ) ])
-            in
-            match Proto.string_field "outcome" resp with
-            | Some "applied" -> ()
-            | o ->
-              failwith ("churn guard not applied: " ^ Option.value ~default:"?" o)
-          in
-          let checks_per_burst = 1000 in
-          let timed = ref 0.0 and commits = ref 0 in
-          for b = 1 to bursts do
-            let t0 = now () in
-            for _ = 1 to checks_per_burst do
-              ignore (rq check_req)
-            done;
-            timed := !timed +. (now () -. t0);
-            for k = 1 to commits_per_burst do
-              incr commits;
-              guard ((b * 100) + k)
-            done
+          match Proto.string_field "outcome" resp with
+          | Some "applied" -> ()
+          | o ->
+            failwith ("churn guard not applied: " ^ Option.value ~default:"?" o)
+        in
+        let checks_per_burst = 1000 in
+        let timed = ref 0.0 in
+        for b = 1 to bursts do
+          let t0 = now () in
+          for _ = 1 to checks_per_burst do
+            ignore (rq check_req)
           done;
-          let mixed_rps = float_of_int (bursts * checks_per_burst) /. !timed in
-          (* what the held pins cost now that the writer has moved on *)
-          let hist = rq (Proto.Obj [ ("op", Proto.String "history") ]) in
-          let pin_bytes =
-            Option.value ~default:0 (Proto.int_field "pin_bytes" hist)
-          in
-          let retained =
-            match Proto.list_field "retained" hist with
-            | Some rs -> List.length rs
-            | None -> 0
-          in
-          let per_pin_bytes = pin_bytes / max 1 pins_held in
-          (* read-under-pin: a full evaluation over the frozen handle *)
-          let first_pin = List.hd held in
-          let pinned_req =
-            Proto.Obj
-              [ ("op", Proto.String "check"); ("pin", Proto.Int first_pin) ]
-          in
-          ignore (rq pinned_req) (* warm up *);
-          let n_reads = max 30 (reps * 6) in
-          let read_lat =
-            Array.init n_reads (fun _ ->
-                let t0 = now () in
-                ignore (rq pinned_req);
-                (now () -. t0) *. 1000.0)
-          in
-          Array.sort Float.compare read_lat;
-          let read_p50 = percentile read_lat 50.0
-          and read_p99 = percentile read_lat 99.0 in
-          List.iter
-            (fun id ->
-              ignore
-                (rq
-                   (Proto.Obj
-                      [ ("op", Proto.String "unpin"); ("pin", Proto.Int id) ])))
-            held;
-          ignore (rq (Proto.Obj [ ("op", Proto.String "shutdown") ]));
-          Unix.close fd;
-          (match Unix.waitpid [] child with
-           | _, Unix.WEXITED 0 -> ()
-           | _ -> failwith "server child did not exit cleanly");
-          Printf.printf "%-14d %7.1f / %-10.1f %-18.1f %-12d %10.3f / %-11.3f %d\n%!"
-            size pin_p50 pin_p99 mixed_rps per_pin_bytes read_p50 read_p99
-            retained;
-          Printf.sprintf
-            "{\"bytes\": %d, \"pins_held\": %d, \"writer_commits\": %d, \
-             \"pin_open_p50_us\": %.2f, \"pin_open_p99_us\": %.2f, \
-             \"mixed_checks_per_sec\": %.1f, \"per_pin_bytes\": %d, \
-             \"read_under_pin_p50_ms\": %.4f, \"read_under_pin_p99_ms\": \
-             %.4f, \"retained_generations\": %d}"
-            ds.Gen.stats.Gen.bytes pins_held !commits pin_p50 pin_p99
-            mixed_rps per_pin_bytes read_p50 read_p99 retained)
-      sizes
-  in
-  add_json "server_pins" ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");
+          timed := !timed +. (now () -. t0);
+          for k = 1 to commits_per_burst do
+            guard ((b * 100) + k)
+          done
+        done;
+        let mixed_rps = float_of_int (bursts * checks_per_burst) /. !timed in
+        (* what the held pins cost now that the writer has moved on *)
+        let hist = rq (Proto.Obj [ ("op", Proto.String "history") ]) in
+        let pin_bytes =
+          Option.value ~default:0 (Proto.int_field "pin_bytes" hist)
+        in
+        let retained =
+          match Proto.list_field "retained" hist with
+          | Some rs -> List.length rs
+          | None -> 0
+        in
+        let per_pin_bytes = pin_bytes / max 1 pins_held in
+        (* read-under-pin: a full evaluation over the frozen handle *)
+        let first_pin = List.hd held in
+        let pinned_req =
+          Proto.Obj
+            [ ("op", Proto.String "check"); ("pin", Proto.Int first_pin) ]
+        in
+        ignore (rq pinned_req) (* warm up *);
+        let n_reads = max 30 (reps * 6) in
+        let read_lat =
+          Array.init n_reads (fun _ ->
+              let t0 = now () in
+              ignore (rq pinned_req);
+              (now () -. t0) *. 1000.0)
+        in
+        Array.sort Float.compare read_lat;
+        let read_p50 = percentile read_lat 50.0
+        and read_p99 = percentile read_lat 99.0 in
+        List.iter
+          (fun id ->
+            ignore
+              (rq
+                 (Proto.Obj
+                    [ ("op", Proto.String "unpin"); ("pin", Proto.Int id) ])))
+          held;
+        ignore (rq (Proto.Obj [ ("op", Proto.String "shutdown") ]));
+        Unix.close fd;
+        (match Unix.waitpid [] child with
+         | _, Unix.WEXITED 0 -> ()
+         | _ -> failwith "server child did not exit cleanly");
+        Printf.printf "%-14d %7.1f / %-10.1f %-18.1f %-12d %10.3f / %-11.3f %d\n%!"
+          size pin_p50 pin_p99 mixed_rps per_pin_bytes read_p50 read_p99
+          retained)
+    sizes;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -1487,7 +1343,6 @@ let () =
   let reps = ref 5 in
   let sizes = ref default_sizes in
   let which = ref [] in
-  let json = ref None in
   let rec parse = function
     | [] -> ()
     | "--reps" :: n :: rest ->
@@ -1495,9 +1350,6 @@ let () =
       parse rest
     | "--sizes" :: s :: rest ->
       sizes := List.map int_of_string (String.split_on_char ',' s);
-      parse rest
-    | "--json" :: rest ->
-      json := Some "BENCH_PR10.json";
       parse rest
     | x :: rest ->
       which := x :: !which;
@@ -1551,5 +1403,4 @@ let () =
         other;
       exit 2
   in
-  List.iter run which;
-  match !json with None -> () | Some path -> write_json path ~reps
+  List.iter run which

@@ -88,13 +88,6 @@ let no_validate_arg =
   let doc = "Skip DTD validation when loading documents." in
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
-let no_index_arg =
-  let doc =
-    "Disable indexed evaluation: answer every check with the scanning \
-     interpreter (verdicts are identical either way)."
-  in
-  Arg.(value & flag & info [ "no-index" ] ~doc)
-
 let index_stats_arg =
   let doc = "Print index cache statistics (hits, misses, fallbacks) at exit." in
   Arg.(value & flag & info [ "index-stats" ] ~doc)
@@ -103,30 +96,12 @@ let plan_stats_arg =
   let doc = "Print plan-cache statistics (hits, misses, cached plans) at exit." in
   Arg.(value & flag & info [ "plan-stats" ] ~doc)
 
-let incremental_arg =
-  let doc =
-    "Maintain materialized denial views from fact deltas and route \
-     verdicts through them (semi-naive incremental checking): the cost \
-     of a check follows the size of the update, not the document.  \
-     Verdicts are identical to the full re-evaluation."
-  in
-  Arg.(value & flag & info [ "incremental" ] ~doc)
-
-let no_incremental_arg =
-  let doc = "Force full re-evaluation (the default)." in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let delta_stats_arg =
   let doc =
     "Print the delta maintenance report (mirror flushes, net facts, \
      view evaluations) at exit."
   in
   Arg.(value & flag & info [ "delta-stats" ] ~doc)
-
-let apply_incremental repo ~incremental ~no_incremental =
-  if incremental && no_incremental then
-    die "--incremental and --no-incremental are mutually exclusive";
-  if incremental then Repository.set_incremental repo true
 
 let print_delta_stats repo ~delta_stats =
   if delta_stats then print_endline (Repository.delta_stats_line repo)
@@ -288,18 +263,21 @@ let load_state ~validate s ~snapshot docs =
     let repo, meta = load_snapshot_repo s path in
     (repo, Some meta)
 
-(* Bring a snapshot-loaded repository up to date with the journal's
-   committed suffix (entries past the snapshot's watermark).  Constraints
-   must already be registered so replayed statements are re-checkable. *)
-let replay_onto_snapshot repo meta jpath =
+(* Bring a repository up to date with the journal's committed entries:
+   all of them over fresh documents, the suffix past the watermark over a
+   snapshot ([meta]).  Constraints must already be registered so
+   replayed statements are re-checkable. *)
+let replay_journal ?(recover = Repository.recover) repo meta jpath =
   if Sys.file_exists jpath then begin
     let rr =
       match Xic_journal.Journal.read jpath with
       | rr -> rr
       | exception Xic_journal.Journal.Journal_error m -> die "%s" m
     in
-    let skip = Repository.recover_skip meta rr in
-    let r = Repository.recover ~skip rr repo in
+    let skip =
+      match meta with Some m -> Repository.recover_skip m rr | None -> 0
+    in
+    let r = recover ~skip rr repo in
     List.iter
       (fun (txn, m) -> die "replay error in journaled transaction %d: %s" txn m)
       r.Repository.replay_errors
@@ -443,10 +421,6 @@ let print_plans repo roots =
     (Repository.constraints repo)
 
 let check_cmd =
-  let datalog_arg =
-    let doc = "Evaluate over the relational mirror instead of XQuery." in
-    Arg.(value & flag & info [ "datalog" ] ~doc)
-  in
   let explain_arg =
     let doc =
       "Print a violation witness (bindings and node paths) per violated \
@@ -455,9 +429,8 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate use_datalog
-      explain no_index index_stats plan_stats incremental no_incremental
-      delta_stats trace metrics slow_ms =
+  let run dtds docs snapshot constraints pattern no_validate explain
+      index_stats plan_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     (* --explain needs a traced run for its observed timings *)
     if explain then begin
@@ -468,12 +441,10 @@ let check_cmd =
     let repo, _meta =
       load_state ~validate:(not no_validate) s ~snapshot docs
     in
-    if no_index then Repository.set_use_index repo false;
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
      | None -> ());
-    apply_incremental repo ~incremental ~no_incremental;
     let consistent =
       if explain then begin
         match Repository.explain repo with
@@ -485,12 +456,7 @@ let check_cmd =
           false
       end
       else begin
-        let violated =
-          if incremental then Repository.check_incremental repo
-          else if use_datalog then Repository.check_full_datalog repo
-          else Repository.check_full repo
-        in
-        match violated with
+        match Repository.check_full repo with
         | [] ->
           print_endline "consistent";
           true
@@ -505,7 +471,6 @@ let check_cmd =
       if slow_ms = None then print_slow_log ()
     end;
     print_stats repo ~plan_stats ~index_stats ~metrics;
-    print_delta_stats repo ~delta_stats;
     obs_finish ~trace ~slow_ms;
     if not consistent then exit 1
   in
@@ -513,10 +478,8 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Check integrity constraints against the documents")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ datalog_arg $ explain_arg
-      $ no_index_arg $ index_stats_arg $ plan_stats_arg $ incremental_arg
-      $ no_incremental_arg $ delta_stats_arg $ trace_arg $ metrics_arg
-      $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ explain_arg $ index_stats_arg
+      $ plan_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* simplify                                                            *)
@@ -607,22 +570,20 @@ let guard_cmd =
     Arg.(required & opt (some file) None & info [ "update" ] ~docv:"FILE" ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate runtime_simp
-      update output journal eval_budget no_index index_stats incremental
-      no_incremental delta_stats trace metrics slow_ms =
+      update output journal eval_budget index_stats delta_stats trace metrics
+      slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let s = load_schema dtds in
     let repo, meta =
       load_state ~validate:(not no_validate) s ~snapshot docs
     in
-    if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
      | None -> ());
-    apply_incremental repo ~incremental ~no_incremental;
     (match (meta, journal) with
-     | Some m, Some jpath -> replay_onto_snapshot repo m jpath
+     | Some _, Some jpath -> replay_journal repo meta jpath
      | _ -> ());
     let u = parse_update update in
     let fallback =
@@ -647,9 +608,9 @@ let guard_cmd =
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ runtime_simp_arg
-      $ update_arg $ output_arg $ journal_arg $ eval_budget_arg $ no_index_arg
-      $ index_stats_arg $ incremental_arg $ no_incremental_arg
-      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ update_arg $ output_arg $ journal_arg $ eval_budget_arg
+      $ index_stats_arg $ delta_stats_arg $ trace_arg $ metrics_arg
+      $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* txn                                                                 *)
@@ -668,22 +629,20 @@ let txn_cmd =
     Arg.(value & flag & info [ "abort" ] ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate runtime_simp
-      updates output journal eval_budget abort no_index index_stats
-      incremental no_incremental delta_stats trace metrics slow_ms =
+      updates output journal eval_budget abort index_stats delta_stats trace
+      metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let s = load_schema dtds in
     let repo, meta =
       load_state ~validate:(not no_validate) s ~snapshot docs
     in
-    if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
      | None -> ());
-    apply_incremental repo ~incremental ~no_incremental;
     (match (meta, journal) with
-     | Some m, Some jpath -> replay_onto_snapshot repo m jpath
+     | Some _, Some jpath -> replay_journal repo meta jpath
      | _ -> ());
     let fallback =
       if runtime_simp then `Runtime_simplification else `Full_check
@@ -726,8 +685,8 @@ let txn_cmd =
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ runtime_simp_arg
       $ updates_arg $ output_arg $ journal_arg $ eval_budget_arg $ abort_arg
-      $ no_index_arg $ index_stats_arg $ incremental_arg $ no_incremental_arg
-      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ index_stats_arg $ delta_stats_arg $ trace_arg $ metrics_arg
+      $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* recover                                                             *)
@@ -748,14 +707,12 @@ let recover_cmd =
     Arg.(
       required & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs snapshot constraints no_validate journal incremental
-      no_incremental delta_stats output =
+  let run dtds docs snapshot constraints no_validate journal output =
     let s = load_schema dtds in
     let repo, meta =
       load_state ~validate:(not no_validate) s ~snapshot docs
     in
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    apply_incremental repo ~incremental ~no_incremental;
     if not (Sys.file_exists journal) then begin
       Printf.eprintf "xicheck: journal %s not found\n" journal;
       exit 3
@@ -786,7 +743,6 @@ let recover_cmd =
       (fun (txn, m) -> Printf.printf "REPLAY ERROR in transaction %d: %s\n" txn m)
       r.Repository.replay_errors;
     List.iter (Printf.printf "VIOLATED after replay: %s\n") r.Repository.post_violations;
-    print_delta_stats repo ~delta_stats;
     Option.iter (write_roots repo) output;
     if r.Repository.replay_errors <> [] || r.Repository.post_violations <> [] then
       exit 1;
@@ -799,8 +755,7 @@ let recover_cmd =
           against freshly loaded base documents (or a snapshot)")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ no_validate_arg $ journal_arg $ incremental_arg
-      $ no_incremental_arg $ delta_stats_arg $ output_arg)
+      $ no_validate_arg $ journal_arg $ output_arg)
 
 (* ------------------------------------------------------------------ *)
 (* checkpoint                                                          *)
@@ -839,21 +794,7 @@ let checkpoint_cmd =
         (load_repo ~validate:(not no_validate) s docs, None)
     in
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    (match (meta, journal) with
-     | Some m, Some jpath -> replay_onto_snapshot repo m jpath
-     | None, Some jpath when Sys.file_exists jpath ->
-       (* fresh documents: every committed journal entry is news *)
-       let rr =
-         match Xic_journal.Journal.read jpath with
-         | rr -> rr
-         | exception Xic_journal.Journal.Journal_error m -> die "%s" m
-       in
-       let r = Repository.recover rr repo in
-       List.iter
-         (fun (txn, m) ->
-           die "replay error in journaled transaction %d: %s" txn m)
-         r.Repository.replay_errors
-     | _ -> ());
+    Option.iter (replay_journal repo meta) journal;
     let journal = Option.map open_journal journal in
     let report =
       match Repository.checkpoint ?journal repo snapshot with
@@ -967,9 +908,8 @@ let serve_cmd =
     Arg.(value & opt int 8 & info [ "slow-requests" ] ~docv:"N" ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate runtime_simp
-      journal eval_budget no_index incremental no_incremental socket tcp
-      checkpoint_on_shutdown log log_level log_format trace slow_requests =
-    ignore incremental;
+      journal eval_budget socket tcp checkpoint_on_shutdown log log_level
+      log_format trace slow_requests =
     (* instrumentation first, so document-load spans join the session *)
     (match XLog.level_of_string log_level with
      | Some l -> XLog.set_level l
@@ -989,30 +929,13 @@ let serve_cmd =
     let repo, meta =
       load_state ~validate:(not no_validate) s ~snapshot docs
     in
-    if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
      | None -> ());
-    (* a resident server wants the materialized views resident too:
-       incremental checking is ON unless explicitly disabled *)
-    if not no_incremental then Repository.set_incremental repo true;
     (* bring the state up to date with the journal before serving *)
-    (match (meta, journal) with
-     | Some m, Some jpath -> replay_onto_snapshot repo m jpath
-     | None, Some jpath when Sys.file_exists jpath ->
-       let rr =
-         match Xic_journal.Journal.read jpath with
-         | rr -> rr
-         | exception Xic_journal.Journal.Journal_error m -> die "%s" m
-       in
-       let r = Repository.recover rr repo in
-       List.iter
-         (fun (txn, m) ->
-           die "replay error in journaled transaction %d: %s" txn m)
-         r.Repository.replay_errors
-     | _ -> ());
+    Option.iter (replay_journal ~recover:Srv.recover repo meta) journal;
     let journal = Option.map open_journal journal in
     let config =
       { Srv.journal; snapshot_path = snapshot; checkpoint_on_shutdown;
@@ -1065,9 +988,9 @@ let serve_cmd =
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ journal_arg
-      $ eval_budget_arg $ no_index_arg $ incremental_arg $ no_incremental_arg
-      $ socket_arg $ tcp_arg $ checkpoint_on_shutdown_arg $ log_arg $ log_level_arg $ log_format_arg
-      $ serve_trace_arg $ slow_requests_arg)
+      $ eval_budget_arg $ socket_arg $ tcp_arg $ checkpoint_on_shutdown_arg
+      $ log_arg $ log_level_arg $ log_format_arg $ serve_trace_arg
+      $ slow_requests_arg)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)

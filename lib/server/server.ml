@@ -85,10 +85,22 @@ type t = {
   mutable connections : int;
 }
 
+(* a resident process sees many updates: it answers from the
+   materialized views, maintained by deltas *)
+let use_views repo = R.set_incremental repo true
+
+(* with the views on before the replay, its post-check builds them, so a
+   restart pays one view build rather than a full check now and the
+   build at the first live check *)
+let recover ?skip rr repo =
+  use_views repo;
+  R.recover ?skip rr repo
+
 let create ?(config = default_config) repo =
   (* spans completed before the server existed (document load, journal
      replay) belong to the serve-session trace too *)
   let preload = if Obs.Trace.is_enabled () then Obs.Trace.drain () else [] in
+  use_views repo;
   { srepo = repo; config; started_ns = Obs.Clock.now_ns (); requests = 0;
     batches = 0; batched_guards = 0; open_txn = None; next_txn = 1;
     pins = Hashtbl.create 8; next_pin = 1; last_pin = None; stop = ref false;
@@ -195,22 +207,16 @@ let check_response ~isolation ~generation violated =
 (* State helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Verdict over the live state, routed like the CLI's post-state check:
-   materialized views when incremental checking is on, full check as
-   the fallback. *)
+(* Verdict over the live state: the materialized views ([create] turns
+   them on), the full check when a view cannot be built or maintained. *)
 let live_check t =
-  if R.incremental t.srepo then (
-    try
-      let v = R.check_incremental t.srepo in
-      Obs.Trace.add_attr "route" "incremental";
-      v
-    with Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded ->
-      Obs.Trace.add_attr "route" "recompute";
-      R.check_full t.srepo)
-  else begin
-    Obs.Trace.add_attr "route" "full";
+  try
+    let v = R.check_incremental t.srepo in
+    Obs.Trace.add_attr "route" "incremental";
+    v
+  with Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded ->
+    Obs.Trace.add_attr "route" "recompute";
     R.check_full t.srepo
-  end
 
 (* The last committed generation's pin.  Refreshed only while no
    transaction is open (pinning mid-transaction would capture

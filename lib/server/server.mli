@@ -39,8 +39,8 @@
        cache and the zero-ref retained history — the snapshot owns that
        state durably.}}
 
-    Single-threaded [select] loop — on this container there is one CPU,
-    so concurrency is I/O multiplexing, not parallelism; the serialized
+    Single-threaded [select] loop — concurrency is I/O multiplexing,
+    not parallelism (no domain is spawned); the serialized
     writer comes for free and readers are isolated by frozen generation
     handles that cost O(1) to open and retain only the unshared log
     suffix. *)
@@ -66,6 +66,21 @@ val default_config : config
 type t
 
 val create : ?config:config -> Xic_core.Repository.t -> t
+(** Wrap [repo] and turn its materialized denial views on
+    ({!Xic_core.Repository.set_incremental}): live checks and the
+    post-state verdicts of guards answer from the views, with the full
+    check as the fallback when a view cannot be built or maintained. *)
+
+val recover :
+  ?skip:int ->
+  Xic_journal.Journal.read_result ->
+  Xic_core.Repository.t ->
+  Xic_core.Repository.recovery_report
+(** The startup replay of a repository that {!create} will wrap:
+    {!Xic_core.Repository.recover} with the views already on, so the
+    replay's post-check builds them and the first live check reuses
+    them. *)
+
 val repo : t -> Xic_core.Repository.t
 val requests : t -> int
 (** Requests handled so far. *)

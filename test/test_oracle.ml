@@ -619,7 +619,6 @@ let test_server_oracle () =
      | 0 ->
        (try
           let repo = repo_of ~pub ~rev in
-          Repository.set_incremental repo true;
           let j = J.open_ ~sync:false jpath in
           let srv =
             Srv.create

@@ -175,7 +175,7 @@ let test_pin_across_checkpoint () =
    while guards commit newer ones, and plain checks during a streaming
    transaction are served from the last committed pin. *)
 let test_server_isolation () =
-  let repo = make_repo ~incremental:true () in
+  let repo = make_repo () in
   let srv = Srv.create repo in
   let rq j = Srv.handle srv j in
   let gen resp = Option.value ~default:(-1) (P.int_field "generation" resp) in
@@ -222,7 +222,7 @@ let test_server_isolation () =
    them; a still-referenced generation survives the checkpoint. *)
 let test_time_travel () =
   let spath = tmp_path "tt.xics" in
-  let repo = make_repo ~incremental:true () in
+  let repo = make_repo () in
   let srv =
     Srv.create
       ~config:{ Srv.default_config with snapshot_path = Some spath }
@@ -352,7 +352,7 @@ let test_batch_serial_parity () =
   Sys.remove jb
 
 let test_round_batching () =
-  let repo = make_repo ~incremental:true () in
+  let repo = make_repo () in
   let srv = Srv.create repo in
   let guard u =
     P.Obj [ ("op", P.String "guard"); ("update", P.String (XU.to_string u)) ]
@@ -526,6 +526,26 @@ let test_trace_roundtrip () =
   checkb "span carries the op" true (attr "op" = Some "check");
   checkb "chrome export carries the trace id" true
     (contains (Obs.Trace.to_chrome_json roots) "t-cafe01")
+
+(* The server owns its route: over a repository never given
+   [set_incremental], it reports the views on and answers a live check
+   from them. *)
+let test_server_owns_route () =
+  with_tracing @@ fun () ->
+  let repo = make_repo () in
+  checkb "views off before the server" false (Repository.incremental repo);
+  let srv = Srv.create repo in
+  let stats = Srv.handle srv (P.Obj [ ("op", P.String "stats") ]) in
+  let server = Option.get (P.member "server" stats) in
+  checkb "stats reports the views on" true
+    (P.bool_field "incremental" server);
+  let resp = Srv.handle srv (P.Obj [ ("op", P.String "check") ]) in
+  checkb "consistent" true (P.list_field "violated" resp = Some []);
+  let roots = Srv.trace_roots srv in
+  let span = List.nth roots (List.length roots - 1) in
+  checks "span name" "serve:check" span.Obs.Trace.name;
+  checkb "live check on the incremental route" true
+    (List.assoc_opt "route" span.Obs.Trace.attrs = Some "incremental")
 
 (* A log line emitted while handling a request carries its trace id. *)
 let test_log_trace_correlation () =
@@ -732,6 +752,8 @@ let () =
       ( "observability",
         [
           Alcotest.test_case "trace id round trip" `Quick test_trace_roundtrip;
+          Alcotest.test_case "server owns the view route" `Quick
+            test_server_owns_route;
           Alcotest.test_case "log/trace correlation" `Quick
             test_log_trace_correlation;
           Alcotest.test_case "stats quantiles" `Quick test_stats_quantiles;
