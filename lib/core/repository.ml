@@ -31,6 +31,9 @@ let c_plan_misses = Obs.Metrics.counter "plan_cache_misses"
 let c_plan_requests = Obs.Metrics.counter "plan_compile_requests"
 let c_rollbacks = Obs.Metrics.counter "rollbacks"
 let c_checks_incremental = Obs.Metrics.counter "checks_incremental"
+(* pinned or as_of reads that re-ran the denials over the frozen base
+   store because no frozen views could answer them *)
+let c_checks_pinned_recompute = Obs.Metrics.counter "checks_pinned_recompute"
 let c_delta_facts_added = Obs.Metrics.counter "delta_facts_added"
 let c_delta_facts_removed = Obs.Metrics.counter "delta_facts_removed"
 let c_delta_flushes = Obs.Metrics.counter "delta_flushes"
@@ -83,11 +86,21 @@ type delta_counters = {
   net : Delta.t;
 }
 
-(* One retained generation: a frozen store handle shared by every pin
-   of that generation, refcounted so the table can tell in-flight
-   readers from history kept purely for time-travel checks. *)
+(* Materialized views frozen with a generation, and the constraint
+   list they were built from: they answer that generation's reads while
+   the repository's list is still (physically) the same one. *)
+type frozen_views = {
+  fv_constraints : Constr.t list;
+  fv_incr : Incr.t;  (* frozen *)
+}
+
+(* One retained generation: a frozen store handle, plus the views frozen
+   with it, shared by every pin of that generation, refcounted so the
+   table can tell in-flight readers from history kept purely for
+   time-travel checks. *)
 type retained = {
   r_store : Xic_datalog.Store.t;  (* frozen *)
+  r_views : frozen_views option;  (* [None]: pinned with no live views *)
   r_mut : int;  (* mutation stamp at freeze time, for freshness checks *)
   mutable r_refs : int;
 }
@@ -487,33 +500,53 @@ let check_full_datalog t =
     (fun c -> if Constr.violated_datalog s c then Some c.Constr.name else None)
     t.constraints
 
+(* The materialized denial views, initialized from [s] (the current
+   store) on first demand.
+   @raise Xic_datalog.Eval.Unsafe / Budget_exceeded when a denial cannot
+   be materialized. *)
+let materialize_views t s =
+  match t.incr with
+  | Some i -> i
+  | None ->
+    let i =
+      Incr.create
+        (List.map (fun (c : Constr.t) -> (c.Constr.name, c.Constr.datalog))
+           t.constraints)
+    in
+    Incr.initialize i s;
+    t.incr <- Some i;
+    i
+
 (* ------------------------------------------------------------------ *)
 (* Pinned snapshots (reader isolation)                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* A pin is a frozen generation handle of the materialized store,
-   stamped with the generation it captured.  Freezing is an
-   O(#relations) pointer capture ([Store.freeze]): the handle shares the
-   per-relation insertion logs with the live writer, which only ever
-   conses onto its own head, so checks against a pin are unaffected by
-   later commits, checkpoints or journal truncation — at no copy cost
-   and O(delta) retained memory.  Verdicts over the relational mirror
-   are equivalent to the XQuery check (oracle-proven), so a pinned check
-   is a real check, not an approximation.
+   stamped with the generation it captured, together with the
+   materialized denial views frozen at the same moment.  Freezing is an
+   O(#relations) pointer capture ([Store.freeze], [Incr.freeze]): the
+   handles share the per-relation insertion logs with the live writer,
+   which only ever conses onto its own head (or swaps in a fresh log),
+   so checks against a pin are unaffected by later commits, checkpoints
+   or journal truncation — at no copy cost and O(delta) retained
+   memory.  A pinned verdict is a read of the frozen views, exactly as
+   a live one is a read of the live views; the denials are re-run over
+   the frozen base store only when the pin has no views (views off or
+   dropped) or the constraint set changed since.
 
    Handles live in a refcounted retained-generation table: pins of the
-   same generation share one handle (amortizing its lazy index builds
+   same generation share one entry (amortizing any lazy index builds
    across readers), {!unpin} decrements, and zero-ref entries linger as
    bounded history for {!pin_as_of} time-travel checks until
    [retain_keep] evicts the oldest or a {!checkpoint} drops them all. *)
 type pin = {
   pin_generation : int;
-  pin_store : Xic_datalog.Store.t;
+  pin_entry : retained;
 }
 
 (* Evict zero-ref history beyond the [retain_keep] most recent
    generations (referenced entries are never evicted — a pin record
-   holds its handle directly, so eviction can never dangle a reader). *)
+   holds its entry directly, so eviction can never dangle a reader). *)
 let prune_retained ?(keep_history = true) t =
   let keep = if keep_history then t.retain_keep else 0 in
   let zero =
@@ -531,18 +564,34 @@ let pin t =
   match Hashtbl.find_opt t.retained g with
   | Some r when r.r_mut = t.mutations ->
     r.r_refs <- r.r_refs + 1;
-    { pin_generation = g; pin_store = r.r_store }
+    { pin_generation = g; pin_entry = r }
   | _ ->
-    let s = store t in  (* flush pending marks so the freeze is exact *)
-    let f = Xic_datalog.Store.freeze s in
-    Hashtbl.replace t.retained g
-      { r_store = f; r_mut = t.mutations; r_refs = 1 };
+    (* flush pending marks and maintain the views, so both freezes are
+       exact; with incremental checking on, a pin taken before the first
+       check builds the views the live reads would build anyway *)
+    let s = store t in
+    let views =
+      if t.incremental then
+        try Some (materialize_views t s)
+        with Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded -> None
+      else t.incr
+    in
+    let r =
+      { r_store = Xic_datalog.Store.freeze s;
+        r_views =
+          Option.map
+            (fun i -> { fv_constraints = t.constraints; fv_incr = Incr.freeze i })
+            views;
+        r_mut = t.mutations;
+        r_refs = 1 }
+    in
+    Hashtbl.replace t.retained g r;
     prune_retained t;
-    { pin_generation = g; pin_store = f }
+    { pin_generation = g; pin_entry = r }
 
 let unpin t (p : pin) =
   (match Hashtbl.find_opt t.retained p.pin_generation with
-   | Some r when r.r_store == p.pin_store && r.r_refs > 0 ->
+   | Some r when r == p.pin_entry && r.r_refs > 0 ->
      r.r_refs <- r.r_refs - 1
    | _ -> ());  (* already evicted (reset, checkpoint): nothing to release *)
   prune_retained t
@@ -551,32 +600,50 @@ let pin_as_of t g =
   match Hashtbl.find_opt t.retained g with
   | Some r ->
     r.r_refs <- r.r_refs + 1;
-    Some { pin_generation = g; pin_store = r.r_store }
+    Some { pin_generation = g; pin_entry = r }
   | None -> None
 
 let retained_generations t =
   Hashtbl.fold (fun g r acc -> (g, r.r_refs) :: acc) t.retained []
   |> List.sort compare
 
+(* Frozen views count against the live views' logs; once the live views
+   are gone, a frozen view shares nothing and costs its full logs. *)
 let retained_bytes t =
   match t.store with
   | None -> 0
   | Some live ->
     sync_store t;
+    let live_view =
+      match t.incr with
+      | Some i -> Incr.view i
+      | None -> Xic_datalog.Store.create ()
+    in
     Hashtbl.fold
       (fun _ r acc ->
-        acc + Xic_datalog.Store.unshared_bytes ~live r.r_store)
+        acc
+        + Xic_datalog.Store.unshared_bytes ~live r.r_store
+        + (match r.r_views with
+           | Some fv ->
+             Xic_datalog.Store.unshared_bytes ~live:live_view
+               (Incr.view fv.fv_incr)
+           | None -> 0))
       t.retained 0
 
 let pin_generation p = p.pin_generation
-let pin_store p = p.pin_store
+let pin_store p = p.pin_entry.r_store
+let pin_view p = Option.map (fun fv -> Incr.view fv.fv_incr) p.pin_entry.r_views
 
 let check_pinned t (p : pin) =
-  List.filter_map
-    (fun (c : Constr.t) ->
-      if Constr.violated_datalog p.pin_store c then Some c.Constr.name
-      else None)
-    t.constraints
+  match p.pin_entry.r_views with
+  | Some fv when fv.fv_constraints == t.constraints -> Incr.violated fv.fv_incr
+  | _ ->
+    Obs.Metrics.incr c_checks_pinned_recompute;
+    List.filter_map
+      (fun (c : Constr.t) ->
+        if Constr.violated_datalog p.pin_entry.r_store c then Some c.Constr.name
+        else None)
+      t.constraints
 
 let check_as_of t g =
   match pin_as_of t g with
@@ -598,20 +665,8 @@ let incremental t = t.incremental
 
 let check_incremental t =
   Obs.Trace.with_span "check_incremental" @@ fun () ->
-  let s = store t in  (* flushes the mirror and maintains any live views *)
-  let inc =
-    match t.incr with
-    | Some i -> i
-    | None ->
-      let i =
-        Incr.create
-          (List.map (fun (c : Constr.t) -> (c.Constr.name, c.Constr.datalog))
-             t.constraints)
-      in
-      Incr.initialize i s;
-      t.incr <- Some i;
-      i
-  in
+  (* [store] flushes the mirror and maintains any live views *)
+  let inc = materialize_views t (store t) in
   Obs.Metrics.incr c_checks_incremental;
   Incr.violated inc
 

@@ -159,13 +159,16 @@ val check_full_datalog : t -> string list
 (** {1 Pinned generations (reader isolation, O(1))}
 
     A pin is a frozen generation handle of the materialized store
-    ([Store.freeze]) stamped with the {!generation} it captured: an
-    O(#relations) pointer capture sharing the per-relation insertion
-    logs with the live writer, {e not} a copy.  The writer only ever
-    conses onto its own log heads, so a pinned reader's verdicts are
-    unaffected by later commits, checkpoints, and journal truncation —
-    the snapshot-isolated read side of the check server — while a pin
-    retains only the unshared log suffix in memory.
+    ([Store.freeze]) stamped with the {!generation} it captured, plus
+    the materialized denial views frozen at the same moment
+    ([Incr.freeze]): O(#relations) pointer captures sharing the
+    per-relation insertion logs with the live writer, {e not} copies.
+    The writer only ever conses onto its own log heads, so a pinned
+    reader's verdicts are unaffected by later commits, checkpoints, and
+    journal truncation — the snapshot-isolated read side of the check
+    server — while a pin retains only the unshared log suffix in memory.
+    A pinned verdict is a read of the frozen views, the same read path
+    as {!check_incremental} on the live ones.
 
     Handles are refcounted in a retained-generation table: pins of the
     same generation share one handle, {!unpin} releases it, and
@@ -183,11 +186,15 @@ type pin
 
 val pin : t -> pin
 (** Capture the current state in O(1) (flushes pending mutation marks
-    first, then freezes — no copy).  Repeated pins of an unchanged
-    generation return the same shared handle.  Must not be taken while
-    a transaction holds applied-but-uncommitted statements — the handle
-    would capture them as committed state; pin before {!begin_txn}, or
-    after the transaction closes. *)
+    and maintains the views first, then freezes both — no copy).  With
+    incremental checking on ({!set_incremental}), a pin taken before any
+    check materializes the views first, as that check would; with it
+    off, the views are frozen only if {!check_incremental} built them.
+    Repeated pins of an unchanged generation return the same shared
+    handle.  Must not be taken while a transaction holds
+    applied-but-uncommitted statements — the handle would capture them
+    as committed state; pin before {!begin_txn}, or after the
+    transaction closes. *)
 
 val unpin : t -> pin -> unit
 (** Release one reference on the pin's retained generation.  Dropped
@@ -202,7 +209,8 @@ val pin_as_of : t -> int -> pin option
 
 val check_as_of : t -> int -> string list option
 (** Verdict at a retained past generation: {!check_pinned} over a
-    transient {!pin_as_of} handle ([None] when not retained). *)
+    transient {!pin_as_of} handle ([None] when not retained) — a read of
+    that generation's frozen views. *)
 
 val retained_generations : t -> (int * int) list
 (** The retained-generation table as [(generation, refcount)] pairs in
@@ -210,17 +218,27 @@ val retained_generations : t -> (int * int) list
     time-travel checks. *)
 
 val retained_bytes : t -> int
-(** Rough heap estimate of what the retained handles hold {e beyond}
-    the structure they share with the live store — 0 in the steady
-    state where every log is still a suffix of the writer's. *)
+(** Rough heap estimate of what the retained handles — frozen base
+    stores and frozen views — hold {e beyond} the structure they share
+    with the live store and the live views: 0 for a fresh pin, where
+    every log is still a suffix of the writer's.  A frozen view whose
+    live views were dropped counts in full. *)
 
 val pin_generation : pin -> int
 val pin_store : pin -> Xic_datalog.Store.t
 
+val pin_view : pin -> Xic_datalog.Store.t option
+(** The witness store of the views frozen with the pin ([None] when it
+    was taken with no views), read-only — for oracles, which compare it
+    with a from-scratch [Incr.initialize] over {!pin_store}. *)
+
 val check_pinned : t -> pin -> string list
-(** Names of constraints violated in the pinned state — the denials
-    evaluated over the pinned store, verdict-equivalent to
-    {!check_full} at the time the pin was taken. *)
+(** Names of constraints violated in the pinned state,
+    verdict-equivalent to {!check_full} at the time the pin was taken.
+    Read from the views frozen with the pin in O(#denials); the denials
+    are re-run over {!pin_store} instead (counted by the
+    [checks_pinned_recompute] metric) when the pin has no views or
+    {!add_constraint} changed the constraint set since it was taken. *)
 
 (** {1 Incremental (delta-driven) checking}
 

@@ -26,12 +26,14 @@
 
     The view lives in a copy-on-write versioned store: row retractions
     are tombstones over an append log, masked on read and reclaimed by
-    the writer's auto-compaction, so a frozen generation handle taken
-    from a repository (which snapshots the base store, not the view)
-    never observes torn maintenance.  {!initialize} compacts the view
-    eagerly — a re-initialization (document reload, constraint
-    re-registration) retracts every row at once, which is exactly the
-    tombstone spike worth collecting up front. *)
+    the writer's auto-compaction, and a Not/Agg recompute clears its
+    relation by swapping in a fresh log.  So {!freeze} is a pointer
+    capture like [Store.freeze]: a repository pin freezes the view next
+    to the base store, and the frozen view answers that generation's
+    reads without observing any later maintenance.  {!initialize}
+    compacts the view eagerly — a re-initialization (document reload,
+    constraint re-registration) retracts every row at once, which is
+    exactly the tombstone spike worth collecting up front. *)
 
 module Symbol = Xic_symbol.Symbol
 
@@ -271,6 +273,8 @@ let violated t =
           String.equal e.name name && Store.cardinality_sym t.view e.rel > 0)
         t.entries)
     t.names
+
+let freeze t = { t with view = Store.freeze t.view }
 
 let view t = t.view
 let stats t = t.stats

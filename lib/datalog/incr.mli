@@ -9,7 +9,10 @@
     re-verification + ΔR-bound residual joins), denials with negation or
     aggregates are re-evaluated in full when touched.  The view uses set
     semantics, so it is [Store.equal]-comparable with a from-scratch
-    recompute (oracle route 8). *)
+    recompute (oracle route 8).  {!freeze} captures the views with a
+    generation pin, so pinned reads are a {!violated} over the frozen
+    copy (oracle route 9 compares it with a recompute over the frozen
+    base store). *)
 
 type t
 
@@ -41,6 +44,13 @@ val apply_delta : t -> Store.t -> Delta.t -> unit
 val violated : t -> string list
 (** Names of constraints with at least one materialized witness, in
     constraint order. *)
+
+val freeze : t -> t
+(** A read-only point-in-time copy of the views: [Store.freeze] of the
+    witness store, O(#view relations), sharing the rows with [t].  Later
+    {!apply_delta} or {!initialize} on [t] leave it unchanged; on the
+    copy they raise [Invalid_argument] once they would change a row.
+    Exact for the store state [t] was last maintained against. *)
 
 val view : t -> Store.t
 (** The materialized witness store (read-only by convention). *)

@@ -675,6 +675,7 @@ let test_guarded_deletion () =
 
 let test_pin_retention () =
   let repo = make_repo () in
+  Repository.set_incremental repo true;
   (* pins of the same clean generation share one frozen handle *)
   let p0 = Repository.pin repo in
   let p0' = Repository.pin repo in
@@ -682,6 +683,9 @@ let test_pin_retention () =
     (Repository.pin_store p0 == Repository.pin_store p0');
   checkb "handle is frozen" true
     (Xic_datalog.Store.is_frozen (Repository.pin_store p0));
+  (match Repository.pin_view p0 with
+   | Some v -> checkb "views frozen with the handle" true (Xic_datalog.Store.is_frozen v)
+   | None -> Alcotest.fail "a pin with views on must freeze them");
   (match Repository.retained_generations repo with
    | [ (0, 2) ] -> ()
    | rs ->
@@ -712,6 +716,98 @@ let test_pin_retention () =
   checkb "check_as_of agrees" true (Repository.check_as_of repo 0 = Some []);
   checkb "unknown generation refused" true
     (Repository.check_as_of repo 99 = None)
+
+(* Pinned reads come from the views frozen with the pin; these are the
+   cases where the live views move on and the frozen ones must not. *)
+let pinned_recomputes () =
+  Xic_obs.Obs.Metrics.value
+    (Xic_obs.Obs.Metrics.counter "checks_pinned_recompute")
+
+let insert_sub ~title ~author =
+  Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]" ~title ~author
+
+let test_pin_keeps_violation_after_repair () =
+  let repo = make_repo () in
+  Repository.set_incremental repo true;
+  (* five submissions for one reviewer violate track_load, an aggregate
+     denial the views maintain by full recompute *)
+  List.iter
+    (fun (title, author) ->
+      ignore (Repository.apply_unchecked repo (insert_sub ~title ~author) : XU.undo))
+    [ ("A", "Zoe"); ("B", "Kim"); ("C", "Uma"); ("D", "Lee") ];
+  checksl "violated live" [ "track_load" ] (Repository.check_incremental repo);
+  let before = pinned_recomputes () in
+  let p = Repository.pin repo in
+  checki "a fresh pin retains nothing" 0 (Repository.retained_bytes repo);
+  (* the repair re-evaluates track_load, clearing its live view relation *)
+  ignore
+    (Repository.apply_unchecked repo
+       [ { XU.op = XU.Remove;
+           select = Xic_xpath.Parser.parse "/review/track[1]/rev[1]/sub[2]";
+           content = [] } ]
+      : XU.undo);
+  checksl "repaired live" [] (Repository.check_incremental repo);
+  checksl "the pin still sees the violation" [ "track_load" ]
+    (Repository.check_pinned repo p);
+  checki "answered from the frozen views" before (pinned_recomputes ());
+  checkb "the cleared live relation no longer shares the frozen rows" true
+    (Repository.retained_bytes repo > 0);
+  (* with the live views dropped the frozen ones share nothing, and
+     still answer *)
+  Repository.set_incremental repo false;
+  let dropped = Repository.retained_bytes repo in
+  checkb "frozen views count in full once the live ones are gone" true
+    (dropped > 0);
+  checksl "frozen views outlive the live ones" [ "track_load" ]
+    (Repository.check_pinned repo p);
+  checki "still no recompute" before (pinned_recomputes ());
+  Repository.unpin repo p
+
+let test_pin_stays_consistent_after_violation () =
+  let repo = make_repo () in
+  Repository.set_incremental repo true;
+  let before = pinned_recomputes () in
+  let p = Repository.pin repo in
+  ignore
+    (Repository.apply_unchecked repo (insert_sub ~title:"Own" ~author:"Carl")
+      : XU.undo);
+  checksl "violated live" [ "conflict" ] (Repository.check_incremental repo);
+  checksl "the pin stays consistent" [] (Repository.check_pinned repo p);
+  checkb "as_of agrees" true (Repository.check_as_of repo 0 = Some []);
+  checki "answered from the frozen views" before (pinned_recomputes ())
+
+(* A constraint added after the pin is not in its frozen views: the
+   pinned read re-runs the current constraint set over the frozen base
+   store. *)
+let test_pin_falls_back_after_add_constraint () =
+  let repo = make_repo () in
+  Repository.set_incremental repo true;
+  let p = Repository.pin repo in
+  let s = Lazy.force schema in
+  Repository.add_constraint repo
+    (Constr.make s ~name:"busy" "<- //rev -> Ir and cntd{; Ir/sub} > 0");
+  let before = pinned_recomputes () in
+  let expected =
+    List.filter_map
+      (fun (c : Constr.t) ->
+        if Constr.violated_datalog (Repository.pin_store p) c then
+          Some c.Constr.name
+        else None)
+      (Repository.constraints repo)
+  in
+  checksl "the recompute's verdict" [ "busy" ] expected;
+  checksl "the pin reports the new constraint" expected
+    (Repository.check_pinned repo p);
+  checki "one fallback recompute" (before + 1) (pinned_recomputes ())
+
+let test_pin_without_views_recomputes () =
+  let repo = make_repo () in
+  let p = Repository.pin repo in
+  checkb "no views to freeze" true (Repository.pin_view p = None);
+  let before = pinned_recomputes () in
+  checksl "verdict from the frozen base" [] (Repository.check_pinned repo p);
+  checkb "as_of agrees" true (Repository.check_as_of repo 0 = Some []);
+  checki "both reads recomputed" (before + 2) (pinned_recomputes ())
 
 let test_runtime_simplification () =
   (* no pattern registered: the runtime-simplification fallback derives a
@@ -818,6 +914,14 @@ let () =
           Alcotest.test_case "fallback rollback" `Quick test_guarded_fallback_rollback;
           Alcotest.test_case "optimized = full decision" `Quick test_optimized_equals_full_decision;
           Alcotest.test_case "pin retention" `Quick test_pin_retention;
+          Alcotest.test_case "pin keeps violation after repair" `Quick
+            test_pin_keeps_violation_after_repair;
+          Alcotest.test_case "pin stays consistent after violation" `Quick
+            test_pin_stays_consistent_after_violation;
+          Alcotest.test_case "pin falls back after add_constraint" `Quick
+            test_pin_falls_back_after_add_constraint;
+          Alcotest.test_case "pin without views recomputes" `Quick
+            test_pin_without_views_recomputes;
           Alcotest.test_case "store mirror" `Quick test_store_mirror_consistency;
           Alcotest.test_case "rollback mirror agreement" `Quick
             test_rollback_mirror_agreement;

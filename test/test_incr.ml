@@ -9,7 +9,10 @@
    - journal recovery replay maintains the same views as the live run;
    - views that absorb the deltas of several unread guards, a rolled-back
      guard and a savepoint rollback at once equal a fresh
-     materialization. *)
+     materialization;
+   - frozen views stay bit-stable while the live ones keep being
+     maintained, and equal a fresh materialization over the base store
+     frozen with them. *)
 
 module Store = Xic_datalog.Store
 module Delta = Xic_datalog.Delta
@@ -141,6 +144,65 @@ let prop_col_index =
           && sort (Store.tuples_with_col_sym early syms.(0) col (Term.Int key))
              = expect early)
         [ 0; 1; 2 ])
+
+(* ------------------------------------------------------------------ *)
+(* Frozen views                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Incr = Xic_datalog.Incr
+
+(* One denial per maintenance route over the delta algebra's p/q
+   relations: a monotone join (delta insertions, deletion
+   re-verification), a negation and an aggregate (full recompute, which
+   clears the view relation). *)
+let view_denials =
+  [ ("join", [ Xic_datalog.Parser.parse_denial ":- p(X, Y), q(Y, Z)" ]);
+    ("orphan", [ Xic_datalog.Parser.parse_denial ":- p(X, _), not q(X, _)" ]);
+    ("crowd", [ Xic_datalog.Parser.parse_denial ":- q(X, _), cnt(p(X, _)) > 1" ]) ]
+
+(* Apply [ops] to the base store and feed the net delta to the views. *)
+let maintain st inc ops =
+  let d = Delta.create () in
+  List.iter
+    (fun (add, r, tup) ->
+      if add then begin
+        Store.add_sym st syms.(r) tup;
+        Delta.add d syms.(r) tup
+      end
+      else if Store.remove_sym st syms.(r) tup then Delta.remove d syms.(r) tup)
+    ops;
+  Incr.apply_delta inc st d
+
+let prop_frozen_views_stable =
+  QCheck2.Test.make ~name:"frozen views bit-stable under view maintenance"
+    ~count:200
+    QCheck2.Gen.(pair gen_ops (list_size (int_bound 8) (pair gen_ops bool)))
+    (fun (init, churn) ->
+      let image s =
+        let b = Buffer.create 256 in
+        Store.serialize s b;
+        Buffer.contents b
+      in
+      let st = Store.create () in
+      let inc = Incr.create view_denials in
+      Incr.initialize inc st;
+      maintain st inc init;
+      let base = Store.freeze st and frozen = Incr.freeze inc in
+      let before = image (Incr.view frozen) in
+      let stable =
+        List.for_all
+          (fun (ops, compact) ->
+            maintain st inc ops;
+            if compact then Store.compact (Incr.view inc);
+            String.equal before (image (Incr.view frozen)))
+          churn
+      in
+      let fresh = Incr.create view_denials in
+      Incr.initialize fresh base;
+      stable
+      && Store.is_frozen (Incr.view frozen)
+      && Store.equal (Incr.view frozen) (Incr.view fresh)
+      && Incr.violated frozen = Incr.violated fresh)
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance through the repository                                  *)
@@ -346,5 +408,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_savepoint_rollback;
           QCheck_alcotest.to_alcotest prop_recovery_replay;
           QCheck_alcotest.to_alcotest prop_deferred_maintenance;
+          QCheck_alcotest.to_alcotest prop_frozen_views_stable;
         ] );
     ]

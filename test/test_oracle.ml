@@ -563,7 +563,11 @@ let test_incremental_oracle () =
    ones commit).  A checkpoint fires mid-stream — truncating the
    server's journal under the pins — and after a graceful shutdown the
    parent restarts from snapshot + journal suffix and re-checks
-   parity. *)
+   parity.  Pinned and as_of reads are served from views frozen with
+   each pin: on shutdown the child checks every generation it still
+   retains against a fresh materialization over that generation's
+   frozen base store, and that no pinned read fell back to a
+   recompute. *)
 
 module Srv = Xic_server.Server
 module Proto = Xic_server.Protocol
@@ -607,6 +611,33 @@ let violated_of resp =
          vs)
   | None -> [ "<malformed>" ]
 
+let pinned_recomputes () =
+  Obs.Metrics.value (Obs.Metrics.counter "checks_pinned_recompute")
+
+(* Every retained generation's frozen views equal [Incr.initialize]
+   over its frozen base store. *)
+let frozen_views_exact repo =
+  List.for_all
+    (fun (g, _) ->
+      match Repository.pin_as_of repo g with
+      | None -> false
+      | Some p ->
+        let fresh =
+          Xic_datalog.Incr.create
+            (List.map
+               (fun (c : Constr.t) -> (c.Constr.name, c.Constr.datalog))
+               (Repository.constraints repo))
+        in
+        Xic_datalog.Incr.initialize fresh (Repository.pin_store p);
+        let exact =
+          match Repository.pin_view p with
+          | Some v -> Xic_datalog.Store.equal v (Xic_datalog.Incr.view fresh)
+          | None -> false
+        in
+        Repository.unpin repo p;
+        exact)
+    (Repository.retained_generations repo)
+
 let test_server_oracle () =
   for i = 1 to max 2 (iters / 5) do
     let seed = 21000 + i in
@@ -619,6 +650,7 @@ let test_server_oracle () =
      | 0 ->
        (try
           let repo = repo_of ~pub ~rev in
+          let recomputes = pinned_recomputes () in
           let j = J.open_ ~sync:false jpath in
           let srv =
             Srv.create
@@ -629,6 +661,8 @@ let test_server_oracle () =
           in
           let lfd = Srv.listen (Proto.Unix_sock sock) in
           Srv.serve ~idle_timeout:0.05 srv lfd;
+          if not (frozen_views_exact repo) then Unix._exit 96;
+          if pinned_recomputes () <> recomputes then Unix._exit 95;
           Unix._exit 0
         with _ -> Unix._exit 97)
      | child ->
@@ -813,6 +847,10 @@ let test_server_oracle () =
        let _, status = Unix.waitpid [] child in
        (match status with
         | Unix.WEXITED 0 -> ()
+        | Unix.WEXITED 96 ->
+          fail "a retained generation's frozen views differ from a \
+                recompute over its frozen base"
+        | Unix.WEXITED 95 -> fail "a pinned read fell back to a recompute"
         | Unix.WEXITED n -> fail "server child exited %d" n
         | _ -> fail "server child killed");
        (* restart from the durable pair and re-check parity — skipped if

@@ -171,11 +171,18 @@ let test_pin_across_checkpoint () =
   Sys.remove jpath;
   Sys.remove spath
 
+(* The server keeps its views on, so every pinned and as_of read is
+   answered from views frozen with the pin, never by a recompute. *)
+let pinned_recomputes () =
+  Xic_obs.Obs.Metrics.value
+    (Xic_obs.Obs.Metrics.counter "checks_pinned_recompute")
+
 (* Through the server: a pinned check keeps answering at its generation
    while guards commit newer ones, and plain checks during a streaming
    transaction are served from the last committed pin. *)
 let test_server_isolation () =
   let repo = make_repo () in
+  let recomputes = pinned_recomputes () in
   let srv = Srv.create repo in
   let rq j = Srv.handle srv j in
   let gen resp = Option.value ~default:(-1) (P.int_field "generation" resp) in
@@ -215,7 +222,8 @@ let test_server_isolation () =
   let after = rq (P.Obj [ ("op", P.String "check") ]) in
   checks "check after commit is live again" "live"
     (Option.get (P.string_field "isolation" after));
-  checki "commit bumped the generation" 2 (gen after)
+  checki "commit bumped the generation" 2 (gen after);
+  checki "pinned reads never recompute" recomputes (pinned_recomputes ())
 
 (* Time travel over retained generations: released pins stay in the
    bounded history and answer [check {as_of}] until a checkpoint prunes
@@ -223,6 +231,7 @@ let test_server_isolation () =
 let test_time_travel () =
   let spath = tmp_path "tt.xics" in
   let repo = make_repo () in
+  let recomputes = pinned_recomputes () in
   let srv =
     Srv.create
       ~config:{ Srv.default_config with snapshot_path = Some spath }
@@ -296,6 +305,8 @@ let test_time_travel () =
   checkb "held generation survives checkpoint" true
     (P.bool_field "ok" (asof g1));
   ignore (rq (P.Obj [ ("op", P.String "unpin"); ("pin", P.Int pid) ]));
+  checki "pinned and as_of reads never recompute" recomputes
+    (pinned_recomputes ());
   (try Sys.remove spath with Sys_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
