@@ -14,6 +14,9 @@
      pins       generation pin open latency vs document size
      server_pins  pinned readers under writer churn over the socket
      micro      Bechamel micro-benchmarks of the moving parts
+     datalog_plans  compiled Datalog plans vs the reference interpreter
+                and XQuery, per denial (not in all; EXPERIMENTS.md runs
+                it with --sizes 256000,1024000,4096000)
      all        everything above (default)
 
    Document sizes are scaled-down stand-ins for the paper's 32–256 MB
@@ -777,6 +780,107 @@ let incremental_bench ~sizes ~reps () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
+(* Compiled Datalog plans vs the reference interpreter vs XQuery        *)
+(* ------------------------------------------------------------------ *)
+
+module DE = Xic_datalog.Eval
+module DR = Xic_datalog.Eval_reference
+module Incr = Xic_datalog.Incr
+
+(* Per full-constraint denial: the reference interpreter, the compiled
+   plan (compiled once, outside the timing) and, per constraint, the
+   XQuery full check — median ms, steps and minor words of one run of
+   all witnesses; then the view build ([Incr.initialize]) against
+   [check_full].  Rows whose time grows more than 4.5x between the last
+   two sizes are flagged. *)
+let datalog_plans ~sizes ~reps () =
+  Printf.printf "# Compiled Datalog plans — reference vs compiled vs XQuery\n";
+  Printf.printf "# %-11s %-14s %-10s %12s %10s %12s\n" "size(bytes)" "denial"
+    "route" "median(ms)" "steps" "minor_words";
+  let rows = Hashtbl.create 16 in
+  let row size key route ms steps words =
+    Hashtbl.replace rows (key, route, size) ms;
+    Printf.printf "%-13d %-14s %-10s %12.3f %10s %12.0f\n%!" size key route ms
+      (if steps < 0 then "-" else string_of_int steps)
+      words
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun size ->
+      let s = Conf.schema () in
+      let ds = Gen.generate ~seed:42 ~target_bytes:size () in
+      let repo = Repository.create s in
+      Repository.load_document ~validate:false repo ds.Gen.pub_xml;
+      Repository.load_document ~validate:false repo ds.Gen.rev_xml;
+      let constraints = [ Conf.conflict s; Conf.workload s; Conf.track_load s ] in
+      List.iter (Repository.add_constraint repo) constraints;
+      let store = Repository.store repo in
+      let bytes = ds.Gen.stats.Gen.bytes in
+      List.iter
+        (fun (c : Constr.t) ->
+          List.iteri
+            (fun i d ->
+              let key = Printf.sprintf "%s#%d" c.Constr.name i in
+              let reference () = DR.violations store d in
+              let plan = DE.compile d in
+              let compiled () =
+                let acc = ref [] in
+                ignore
+                  (DE.run ~all:true plan store [||] (fun slots ->
+                       acc := DE.bindings plan slots :: !acc));
+                !acc
+              in
+              let norm l = List.sort compare (List.map (List.sort compare) l) in
+              if norm (reference ()) <> norm (compiled ()) then
+                failwith ("compiled plan disagrees with the reference on " ^ key);
+              let ms f = fst (time_stats ~reps ~clean:true f) in
+              row bytes key "reference" (ms reference) (snd (DR.with_meter reference))
+                (words reference);
+              row bytes key "compiled" (ms compiled) (snd (DE.with_meter compiled))
+                (words compiled))
+            c.Constr.datalog;
+          let plan = Constr.compile c in
+          let xquery () =
+            Constr.violated_compiled ?index:(Repository.index repo)
+              (Repository.doc repo) c plan
+          in
+          row bytes c.Constr.name "xquery" (fst (time_stats ~reps ~clean:true xquery))
+            (-1) (words xquery))
+        constraints;
+      let init () =
+        let i =
+          Incr.create
+            (List.map
+               (fun (c : Constr.t) -> (c.Constr.name, c.Constr.datalog))
+               constraints)
+        in
+        Incr.initialize i store
+      in
+      let full () = Repository.check_full repo in
+      List.iter
+        (fun (route, f) ->
+          row bytes "all" route (fst (time_stats ~reps ~clean:true f)) (-1) (words f))
+        [ ("initialize", init); ("check_full", fun () -> ignore (full ())) ])
+    sizes;
+  (match List.rev sizes with
+   | large :: mid :: _ ->
+     Hashtbl.iter
+       (fun (key, route, size) ms ->
+         if size = mid then
+           match Hashtbl.find_opt rows (key, route, large) with
+           | Some ms' when ms' > 4.5 *. ms ->
+             Printf.printf "# growth > 4.5x: %s %s %.3f -> %.3f ms (%.1fx)\n" key route
+               ms ms' (ms' /. ms)
+           | _ -> ())
+       rows
+   | _ -> ());
+  print_newline ()
+
+(* ------------------------------------------------------------------ *)
 (* PR 8: the resident check server                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1376,6 +1480,7 @@ let () =
     | "pins" -> pins_bench ~sizes ~reps ()
     | "server_pins" -> server_pins_bench ~reps ()
     | "micro" -> micro ()
+    | "datalog_plans" -> datalog_plans ~sizes ~reps ()
     | "all" ->
       fig1a ~sizes ~reps ();
       fig1b ~sizes ~reps ();
@@ -1399,7 +1504,7 @@ let () =
         "unknown experiment %S (expected \
          fig1a|fig1b|fig_simp|ex45|ablations|index|journal|incremental|\
          stages|ingest|coldstart|pipeline|server|server_obs|pins|\
-         server_pins|micro|all)\n"
+         server_pins|micro|datalog_plans|all)\n"
         other;
       exit 2
   in

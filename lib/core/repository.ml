@@ -68,6 +68,17 @@ type optimized_check = {
   (* the check's closure plan, compiled on first use and keyed by the
      enclosing (pattern, constraint) pair by construction *)
   mutable simplified_plan : Xic_xquery.Eval.compiled option;
+  (* the Datalog plans of [simplified] for the guard's pre-check, with
+     the parameters each one takes as inputs; compiled on first use, or
+     the reason they cannot be *)
+  mutable simplified_dl : datalog_plans option;
+}
+
+and datalog_plans = (dl_plan list, string) result
+
+and dl_plan = {
+  dl_plan : Xic_datalog.Eval.plan;
+  dl_params : string list;
 }
 
 type plan_stats = {
@@ -411,7 +422,7 @@ let compile_checks t (p : Pattern.t) =
         Xic_translate.Translate.denials (Schema.mapping t.schema) simplified
       in
       { constraint_name = c.Constr.name; simplified; simplified_xquery;
-        simplified_plan = None })
+        simplified_plan = None; simplified_dl = None })
     t.constraints
 
 let recompile t =
@@ -803,11 +814,47 @@ let budgeted_datalog t f =
   | None -> f ()
   | Some steps -> Xic_datalog.Eval.with_budget ~steps f
 
+(* The simplified denials' cached plans, with every parameter of a
+   denial as its inputs. *)
+let datalog_plans ch =
+  match ch.simplified_dl with
+  | Some r -> r
+  | None ->
+    let r =
+      try
+        Ok
+          (List.map
+             (fun d ->
+               let ps = T.denial_params d in
+               { dl_plan =
+                   Xic_datalog.Eval.compile
+                     ~inputs:(List.map (fun p -> T.Param p) ps)
+                     d;
+                 dl_params = ps })
+             ch.simplified)
+      with Xic_datalog.Eval.Unsafe m -> Error m
+    in
+    ch.simplified_dl <- Some r;
+    r
+
+let run_dl_plan s params dp =
+  let inputs =
+    List.map
+      (fun p ->
+        match List.assoc_opt p params with
+        | Some c -> c
+        | None ->
+          raise (Xic_datalog.Eval.Unsafe ("denial still contains parameters: " ^ p)))
+      dp.dl_params
+  in
+  Xic_datalog.Eval.run dp.dl_plan s (Array.of_list inputs) ignore
+
 (* The guard's pre-check: each constraint's simplified denials,
    instantiated with the update's parameters, evaluated over the base
-   store.  Only the base store is flushed — view maintenance stays with
-   the next read, so a legal guard never pays it.  An unsafe denial or
-   an exhausted budget is a degradation, as in [try_check_optimized]. *)
+   store through their cached plans.  Only the base store is flushed —
+   view maintenance stays with the next read, so a legal guard never
+   pays it.  An unsafe denial or an exhausted budget is a degradation,
+   as in [try_check_optimized]. *)
 let try_check_optimized_datalog t p valuation =
   let checks = optimized_checks t p in
   let params = Pattern.datalog_params p valuation in
@@ -821,10 +868,10 @@ let try_check_optimized_datalog t p valuation =
       in
       (match
          timed_check ch.constraint_name h_check_optimized (fun () ->
-             budgeted_datalog t (fun () ->
-                 List.exists
-                   (fun d -> Xic_datalog.Eval.violated ~params s d)
-                   ch.simplified))
+             match datalog_plans ch with
+             | Error m -> raise (Xic_datalog.Eval.Unsafe m)
+             | Ok plans ->
+               budgeted_datalog t (fun () -> List.exists (run_dl_plan s params) plans))
        with
        | true -> go (ch.constraint_name :: violated) degs rest
        | false -> go violated degs rest

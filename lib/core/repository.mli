@@ -20,14 +20,21 @@ open Xic_xml
 
 type t
 
+type datalog_plans
+(** The compiled {!Xic_datalog.Eval} plans of a check's simplified
+    denials, or why they cannot be compiled. *)
+
 (** A simplified check, pre-compiled at pattern-registration time.  The
-    closure plan of its XQuery is cached on first evaluation, keyed by
-    the enclosing (pattern, constraint) pair by construction. *)
+    closure plan of its XQuery and the Datalog plans of its denials are
+    cached on first evaluation, keyed by the enclosing (pattern,
+    constraint) pair by construction; {!add_constraint} rebuilds every
+    check, which drops them. *)
 type optimized_check = {
   constraint_name : string;
   simplified : Xic_datalog.Term.denial list;
   simplified_xquery : Xic_xquery.Ast.expr;
   mutable simplified_plan : Xic_xquery.Eval.compiled option;
+  mutable simplified_dl : datalog_plans option;
 }
 
 (** Plan-cache counters: a {e hit} is a check evaluation served by a

@@ -1,11 +1,18 @@
-(** Evaluation of denials against a fact store.
+(** Compiled evaluation of denials against a fact store.
 
-    A denial is {e violated} when its body is satisfiable; [violation]
-    searches for a satisfying substitution with a simple
-    most-bound-literal-first join strategy, exploiting the first-column
-    index of {!Store}.  Negated and aggregate literals are scheduled once
-    their outer variables are bound (safe evaluation); unsafe denials
-    raise {!Unsafe}. *)
+    {!compile} turns a denial into a plan once: the literal order is
+    fixed at compile time by simulating, over the set of variables bound
+    so far, the most-bound-literal-first policy of the former
+    interpreter ({!Eval_reference}), so the two search the same tuples
+    in the same order.  Variables live in the int slots of one array per
+    run; each literal becomes a closure that probes the leftmost bound
+    column through the {!Store} indexes, matches candidate tuples column
+    by column against constants and slots, and calls the next literal's
+    closure.  Relation symbols are resolved once per plan.  Denials whose
+    literals cannot all be scheduled raise {!Unsafe} at compile time. *)
+
+module Symbol = Xic_symbol.Symbol
+module Obs = Xic_obs.Obs
 
 exception Unsafe of string
 
@@ -48,95 +55,279 @@ let with_meter f =
         let v = f () in
         (v, max_int - !r))
 
-type env = (string, Term.const) Hashtbl.t
+(* ------------------------------------------------------------------ *)
+(* Plan representation                                                 *)
+(* ------------------------------------------------------------------ *)
 
-let lookup (env : env) v = Hashtbl.find_opt env v
+(* A term's value at some point of a plan: a constant, or a slot bound
+   earlier in the plan (or by the caller, for inputs). *)
+type value = K of Term.const | S of int
 
-let term_value env = function
-  | Term.Var v -> (match lookup env v with Some c -> Some c | None -> None)
-  | Term.Const c -> Some c
-  | Term.Param p -> unsafe "unresolved parameter %%%s at evaluation time" p
+(* How one column of a candidate tuple is matched. *)
+type col =
+  | Eq_const of Term.const
+  | Eq_slot of int  (* bound before this column *)
+  | Bind of int  (* first occurrence: store the column in the slot *)
 
-(* Match a tuple against atom args under [env] plus prior local bindings;
-   returns the list of new bindings (appended to [prior]) or None.  A
-   variable occurring twice must match equal constants. *)
-let match_tuple ?(prior = []) env (args : Term.term list) (tup : Store.tuple) =
-  tick 1;
-  let rec go acc args tup =
-    match (args, tup) with
-    | [], [] -> Some acc
-    | a :: args', c :: tup' ->
-      (match a with
-       | Term.Const c' -> if c = c' then go acc args' tup' else None
-       | Term.Param p -> unsafe "unresolved parameter %%%s in atom" p
-       | Term.Var v ->
-         (match lookup env v with
-          | Some c' -> if c = c' then go acc args' tup' else None
-          | None ->
-            (match List.assoc_opt v acc with
-             | Some c' -> if c = c' then go acc args' tup' else None
-             | None -> go ((v, c) :: acc) args' tup')))
-    | _ -> None
-  in
-  go prior args tup
+(* A relation, resolved to its symbol on first use.  A name that was
+   never interned has no tuples; it is looked up again on the next run,
+   since a later insertion may intern it. *)
+type rel = { name : string; mutable sym : Symbol.t option }
 
-(* The probe of an atom: its leftmost column with a known [value] —
-   the first column (node id) when it is ground, else any later ground
-   column through the store's lazy secondary indexes.  Downward joins
-   (parent column bound) and value joins (text column bound) would
-   otherwise enumerate the whole relation — on delta evaluation those
-   scans dwarfed the delta.  [None] is a scan. *)
-let probe_key value (a : Term.atom) =
-  let rec go col = function
+type atom_code = {
+  rel : rel;
+  probe : (int * value) option;  (* leftmost bound column, else a scan *)
+  cols : col array;
+}
+
+(* One run's state: the store, the slot array and the witness callback
+   (its result: stop the search). *)
+type frame = {
+  store : Store.t;
+  slots : Term.const array;
+  emit : unit -> bool;
+}
+
+(* A literal's closure: [true] once the search must stop. *)
+type node = frame -> bool
+
+type plan = {
+  root : node;
+  nslots : int;
+  ninputs : int;
+  witness : (string * int) array;  (* named non-input bindings, slot order *)
+  var_slots : (string * int) list;  (* inputs and witness variables *)
+}
+
+let get fr = function K c -> c | S i -> Array.unsafe_get fr.slots i
+
+(* Match [tup] against the column codes, binding slots as it goes; the
+   arities must agree.  Top-level loops, so the hot path allocates no
+   closure. *)
+let rec match_from slots cols n i = function
+  | [] -> i = n
+  | c :: rest ->
+    i < n
+    && (match Array.unsafe_get cols i with
+        | Eq_const k -> Term.equal_const c k
+        | Eq_slot s -> Term.equal_const c (Array.unsafe_get slots s)
+        | Bind s ->
+          Array.unsafe_set slots s c;
+          true)
+    && match_from slots cols n (i + 1) rest
+
+let match_cols slots cols tup = match_from slots cols (Array.length cols) 0 tup
+
+(* The join step: every candidate that matches runs the continuation,
+   until one stops the search. *)
+let rec join cols k fr = function
+  | [] -> false
+  | tup :: rest ->
+    tick 1;
+    (match_cols fr.slots cols tup && k fr) || join cols k fr rest
+
+(* The anti-join step: does any candidate match? *)
+let rec any_match slots cols = function
+  | [] -> false
+  | tup :: rest ->
+    tick 1;
+    match_cols slots cols tup || any_match slots cols rest
+
+let resolve r =
+  match r.sym with
+  | Some _ as s -> s
+  | None ->
+    if Symbol.mem r.name then begin
+      let s = Some (Symbol.intern r.name) in
+      r.sym <- s;
+      s
+    end
+    else None
+
+let candidates fr (a : atom_code) =
+  match resolve a.rel with
+  | None -> []
+  | Some sym ->
+    (match a.probe with
+     | None -> Store.tuples_sym fr.store sym
+     | Some (col, v) -> Store.tuples_with_col_sym fr.store sym col (get fr v))
+
+(* ------------------------------------------------------------------ *)
+(* Compilation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type key = V of string | P of string
+
+module KS = Set.Make (struct
+  type t = key
+
+  let compare = compare
+end)
+
+type cstate = {
+  slot_of : (key, int) Hashtbl.t;
+  mutable nslots : int;
+  mutable bound : KS.t;  (* keys bound at the current point of the plan *)
+}
+
+let slot_index cs k =
+  match Hashtbl.find_opt cs.slot_of k with
+  | Some i -> i
+  | None ->
+    let i = cs.nslots in
+    Hashtbl.add cs.slot_of k i;
+    cs.nslots <- i + 1;
+    i
+
+let key_of = function
+  | Term.Var v -> Some (V v)
+  | Term.Param p -> Some (P p)
+  | Term.Const _ -> None
+
+let is_bound bound t =
+  match key_of t with None -> true | Some k -> KS.mem k bound
+
+let value cs t =
+  match (t, key_of t) with
+  | Term.Const c, _ -> Some (K c)
+  | _, Some k when KS.mem k cs.bound -> Some (S (slot_index cs k))
+  | _ -> None
+
+let value_exn cs t =
+  match value cs t with
+  | Some v -> v
+  | None -> unsafe "unbound term %s" (Term.term_str t)
+
+(* Column codes of an atom under the bound set [cs.bound]; returns the
+   code and the bound set extended by the atom's first occurrences. *)
+let compile_atom cs (a : Term.atom) =
+  let rec probe col = function
     | [] -> None
     | t :: rest ->
-      (match value t with Some key -> Some (col, key) | None -> go (col + 1) rest)
+      (match value cs t with Some v -> Some (col, v) | None -> probe (col + 1) rest)
   in
-  go 0 a.Term.args
+  let bound = ref cs.bound in
+  let cols =
+    List.map
+      (fun t ->
+        match t with
+        | Term.Const c -> Eq_const c
+        | Term.Var _ | Term.Param _ ->
+          let k = Option.get (key_of t) in
+          if KS.mem k !bound then Eq_slot (slot_index cs k)
+          else begin
+            bound := KS.add k !bound;
+            Bind (slot_index cs k)
+          end)
+      a.Term.args
+  in
+  ( { rel = { name = a.Term.pred; sym = None }; probe = probe 0 a.Term.args;
+      cols = Array.of_list cols },
+    !bound )
 
-let candidates store (a : Term.atom) = function
-  | None -> Store.tuples store a.Term.pred
-  | Some (0, key) -> Store.tuples_with_key store a.Term.pred key
-  | Some (col, key) -> Store.tuples_with_col store a.Term.pred col key
-
-let candidate_tuples store env a = candidates store a (probe_key (term_value env) a)
-
-(* Number of argument positions already bound; used to pick the most
-   selective literal first. *)
-let boundness env (a : Term.atom) =
-  List.fold_left
-    (fun n t -> match term_value env t with Some _ -> n + 1 | None -> n)
-    0 a.Term.args
-
-let ground_term env t = term_value env t <> None
-
-
-(* ------------------------------------------------------------------ *)
-(* Aggregates                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let const_int = function
-  | Term.Int i -> i
-  | Term.Str s ->
-    (match int_of_string_opt s with
-     | Some i -> i
-     | None -> unsafe "aggregate over non-integer value %S" s)
+(* Literal choice, the interpreter's policy evaluated over bound sets.
+   Preference order:
+   1. a ground comparison (cheap test),
+   2. an equality that binds a variable,
+   3. a ready negation or aggregate (tests, no branching),
+   4. the positive literal with the most bound arguments (join step),
+      the first one on ties.
+   Which variables are bound does not depend on the tuples joined, so
+   the whole order is known before any tuple is seen. *)
+let pick body bound lits =
+  let ground = is_bound bound in
+  let bound_var v = KS.mem (V v) bound in
+  let ready_cmp = function
+    | Term.Cmp (_, t1, t2) -> ground t1 && ground t2
+    | _ -> false
+  in
+  let binding_eq = function
+    | Term.Cmp (Term.Eq, Term.Var v, t) -> (not (bound_var v)) && ground t
+    | Term.Cmp (Term.Eq, t, Term.Var v) -> (not (bound_var v)) && ground t
+    | _ -> false
+  in
+  (* A negated atom is ready once every variable it shares with other
+     literals is bound; variables occurring only inside it are
+     existential locals (anti-join semantics). *)
+  let neg_ready (a : Term.atom) =
+    let this = Term.Not a in
+    List.for_all
+      (fun v ->
+        bound_var v
+        || not
+             (List.exists
+                (fun l -> l != this && l <> this && List.mem v (Term.lit_vars l))
+                body))
+      (Term.atom_vars a)
+  in
+  (* An aggregate is ready once every variable it shares with the rest
+     of the body is bound; its local variables never are. *)
+  let agg_ready (g : Term.agg) =
+    let local = Term.agg_local_vars body g in
+    let inner = List.concat_map Term.atom_vars g.Term.atoms in
+    let needed =
+      List.filter (fun v -> not (List.mem v local)) inner
+      @ Term.term_vars g.Term.bound
+      @ (match g.Term.target with
+         | Some (Term.Var v) when not (List.mem v inner) -> [ v ]
+         | _ -> [])
+    in
+    List.for_all bound_var needed
+  in
+  let ready_test = function
+    | Term.Not a -> neg_ready a
+    | Term.Agg g -> agg_ready g
+    | _ -> false
+  in
+  let take p =
+    let rec go acc = function
+      | [] -> None
+      | l :: rest when p l -> Some (l, List.rev_append acc rest)
+      | l :: rest -> go (l :: acc) rest
+    in
+    go [] lits
+  in
+  let boundness (a : Term.atom) =
+    List.fold_left (fun n t -> if ground t then n + 1 else n) 0 a.Term.args
+  in
+  let most_bound () =
+    let best =
+      List.fold_left
+        (fun best l ->
+          match (l, best) with
+          | Term.Rel a, None -> Some (l, boundness a)
+          | Term.Rel a, Some (_, s) when boundness a > s -> Some (l, boundness a)
+          | _ -> best)
+        None lits
+    in
+    Option.map
+      (fun (l, _) ->
+        let rec remove_first = function
+          | [] -> []
+          | x :: rest -> if x == l then rest else x :: remove_first rest
+        in
+        (l, remove_first lits))
+      best
+  in
+  match take ready_cmp with
+  | Some r -> Some r
+  | None ->
+    (match take binding_eq with
+     | Some r -> Some r
+     | None ->
+       (match take ready_test with Some r -> Some r | None -> most_bound ()))
 
 (* Join order of an aggregate's atoms: most-bound-first, greedily.  An
-   argument counts as bound when it is a constant, a variable of the
-   outer environment, or a variable of an atom already placed; ties keep
-   source order.  Which variables are bound does not depend on the
-   tuples joined, so one order serves every binding vector.  Source
-   order instead lets a pattern like [track(T, ..), rev(_, _, T, R)] with
-   [R] bound walk every track and every rev under it. *)
-let order_atoms env atoms =
+   argument counts as bound when it is a constant, an input, a variable
+   bound before the aggregate, or a variable of an atom already placed;
+   ties keep source order. *)
+let order_atoms bound atoms =
   let score placed (a : Term.atom) =
     List.fold_left
       (fun n t ->
         match t with
-        | Term.Const _ -> n + 1
-        | Term.Var v when lookup env v <> None || List.mem v placed -> n + 1
-        | _ -> n)
+        | Term.Var v when List.mem v placed -> n + 1
+        | _ -> if is_bound bound t then n + 1 else n)
       0 a.Term.args
   in
   let rec go placed acc = function
@@ -157,258 +348,253 @@ let order_atoms env atoms =
   in
   go [] [] atoms
 
-(* All consistent local-binding vectors of joined tuples matching the
-   conjunctive pattern. *)
-let agg_matches store env (g : Term.agg) =
-  let candidate_with_prior prior (a : Term.atom) =
-    (* Use the indexes also when an argument is bound by a prior local
-       binding rather than the outer environment. *)
-    let value t =
-      match term_value env t with
-      | Some c -> Some c
-      | None ->
-        (match t with Term.Var v -> List.assoc_opt v prior | _ -> None)
-    in
-    candidates store a (probe_key value a)
-  in
-  List.fold_left
-    (fun vecs atom ->
-      List.concat_map
-        (fun prior ->
-          List.filter_map
-            (fun tup -> match_tuple ~prior env atom.Term.args tup)
-            (candidate_with_prior prior atom))
-        vecs)
-    [ [] ] (order_atoms env g.Term.atoms)
+(* ------------------------------------------------------------------ *)
+(* Aggregates                                                          *)
+(* ------------------------------------------------------------------ *)
 
-let eval_agg store env (g : Term.agg) =
-  let matches = agg_matches store env g in
-  let target_values () =
+let const_int = function
+  | Term.Int i -> i
+  | Term.Str s ->
+    (match int_of_string_opt s with
+     | Some i -> i
+     | None -> unsafe "aggregate over non-integer value %S" s)
+
+(* What one aggregate evaluation collects over its matches. *)
+type agg_acc = {
+  mutable count : int;
+  mutable vals : Term.const list;  (* target values *)
+  mutable vecs : Term.const list list;  (* local-variable vectors *)
+}
+
+let agg_value (g : Term.agg) acc =
+  let targets () =
     match g.Term.target with
     | None -> unsafe "aggregate %s requires a target term" (Term.agg_op_str g.Term.op)
-    | Some (Term.Const c) -> List.map (fun _ -> c) matches
-    | Some (Term.Param p) -> unsafe "unresolved parameter %%%s in aggregate" p
-    | Some (Term.Var v) ->
-      List.map
-        (fun binds ->
-          match List.assoc_opt v binds with
-          | Some c -> c
-          | None ->
-            (match lookup env v with
-             | Some c -> c
-             | None -> unsafe "aggregate target %s not bound by the aggregated atom" v))
-        matches
+    | Some _ -> acc.vals
   in
   match g.Term.op with
-  | Term.Cnt -> Term.Int (List.length matches)
+  | Term.Cnt -> Term.Int acc.count
   | Term.CntD ->
     (match g.Term.target with
-     | Some _ -> Term.Int (List.length (List.sort_uniq compare (target_values ())))
-     | None ->
-       Term.Int
-         (List.length (List.sort_uniq compare (List.map (List.sort compare) matches))))
-  | Term.Sum -> Term.Int (List.fold_left (fun a c -> a + const_int c) 0 (target_values ()))
+     | Some _ -> Term.Int (List.length (List.sort_uniq compare acc.vals))
+     | None -> Term.Int (List.length (List.sort_uniq compare acc.vecs)))
+  | Term.Sum -> Term.Int (List.fold_left (fun a c -> a + const_int c) 0 (targets ()))
   | Term.SumD ->
     Term.Int
       (List.fold_left (fun a c -> a + const_int c) 0
-         (List.sort_uniq compare (target_values ())))
+         (List.sort_uniq compare (targets ())))
   | Term.Max ->
-    (match target_values () with
+    (match targets () with
      | [] -> unsafe "max over an empty aggregate"
      | c :: cs -> List.fold_left max c cs)
   | Term.Min ->
-    (match target_values () with
+    (match targets () with
      | [] -> unsafe "min over an empty aggregate"
      | c :: cs -> List.fold_left min c cs)
 
-(* An aggregate is evaluable once every variable it shares with the rest
-   of the computation is bound; its local variables never are. *)
-let agg_ready body env (g : Term.agg) =
-  let local = Term.agg_local_vars body (g : Term.agg) in
-  let inner_vars = List.concat_map Term.atom_vars g.Term.atoms in
-  let needed =
-    List.filter (fun v -> not (List.mem v local)) inner_vars
-    @ Term.term_vars g.Term.bound
-    @ (match g.Term.target with
-       | Some (Term.Var v) when not (List.mem v inner_vars) -> [ v ]
-       | _ -> [])
+(* The aggregate's closure: enumerate the joins of its atoms in
+   [order_atoms] order, fold them into an [agg_acc], compare. *)
+let compile_agg cs (g : Term.agg) : node -> node =
+  let outer = cs.bound in
+  let codes =
+    List.map
+      (fun a ->
+        let code, bound = compile_atom cs a in
+        cs.bound <- bound;
+        code)
+      (order_atoms outer g.Term.atoms)
   in
-  List.for_all (fun v -> lookup env v <> None) needed
+  let locals =
+    KS.elements (KS.diff cs.bound outer) |> List.map (slot_index cs)
+    |> List.sort compare
+  in
+  let target = Option.map (value_exn cs) g.Term.target in
+  cs.bound <- outer;
+  let bound = value_exn cs g.Term.bound in
+  let record : frame -> agg_acc -> unit =
+    match (g.Term.op, target) with
+    | Term.Cnt, _ -> fun _ acc -> acc.count <- acc.count + 1
+    | Term.CntD, None ->
+      fun fr acc -> acc.vecs <- List.map (Array.get fr.slots) locals :: acc.vecs
+    | _, Some t -> fun fr acc -> acc.vals <- get fr t :: acc.vals
+    | _, None -> fun _ _ -> ()
+  in
+  let enum =
+    List.fold_right
+      (fun code next fr acc ->
+        List.iter
+          (fun tup ->
+            tick 1;
+            if match_cols fr.slots code.cols tup then next fr acc)
+          (candidates fr code))
+      codes record
+  in
+  let acmp = g.Term.acmp in
+  fun k fr ->
+    tick 1;
+    let acc = { count = 0; vals = []; vecs = [] } in
+    enum fr acc;
+    Term.eval_cmp acmp (agg_value g acc) (get fr bound) && k fr
 
 (* ------------------------------------------------------------------ *)
-(* Search                                                              *)
+(* Body literals                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Pick the next literal to process.  Preference order:
-   1. a ground comparison (cheap test),
-   2. an equality that binds a variable,
-   3. a ready negation or aggregate (tests, no branching),
-   4. the positive literal with the most bound arguments (join step). *)
-let pick_literal body env lits =
-  let ready_cmp = function
-    | Term.Cmp (_, t1, t2) -> ground_term env t1 && ground_term env t2
-    | _ -> false
-  in
-  let binding_eq = function
-    | Term.Cmp (Term.Eq, Term.Var v, t) -> lookup env v = None && ground_term env t
-    | Term.Cmp (Term.Eq, t, Term.Var v) -> lookup env v = None && ground_term env t
-    | _ -> false
-  in
-  (* A negated atom is ready once every variable it shares with other
-     literals is bound; variables occurring only inside it are existential
-     locals (anti-join semantics). *)
-  let neg_ready (a : Term.atom) =
-    let this = Term.Not a in
-    List.for_all
-      (fun v ->
-        lookup env v <> None
-        || not
-             (List.exists
-                (fun l -> l != this && l <> this && List.mem v (Term.lit_vars l))
-                body))
-      (Term.atom_vars a)
-  in
-  let ready_neg_or_agg = function
-    | Term.Not a -> neg_ready a
-    | Term.Agg g -> agg_ready body env g
-    | _ -> false
-  in
-  let take p =
-    let rec go acc = function
-      | [] -> None
-      | l :: rest when p l -> Some (l, List.rev_append acc rest)
-      | l :: rest -> go (l :: acc) rest
-    in
-    go [] lits
-  in
-  match take ready_cmp with
-  | Some r -> Some r
-  | None ->
-    (match take binding_eq with
-     | Some r -> Some r
-     | None ->
-       (match take ready_neg_or_agg with
-        | Some r -> Some r
-        | None ->
-          let rels = List.filter (function Term.Rel _ -> true | _ -> false) lits in
-          (match rels with
-           | [] -> None
-           | _ ->
-             let best =
-               List.fold_left
-                 (fun best l ->
-                   match (l, best) with
-                   | Term.Rel a, None -> Some (l, boundness env a)
-                   | Term.Rel a, Some (_, s) when boundness env a > s ->
-                     Some (l, boundness env a)
-                   | _ -> best)
-                 None rels
-             in
-             (match best with
-              | Some (l, _) ->
-                let rec remove_first = function
-                  | [] -> []
-                  | x :: rest -> if x == l then rest else x :: remove_first rest
-                in
-                Some (l, remove_first lits)
-              | None -> None))))
+(* Compile a picked literal into a function from its continuation to
+   its closure, advancing the bound set. *)
+let compile_lit cs lit : node -> node =
+  match lit with
+  | Term.Cmp (op, t1, t2) ->
+    (match (value cs t1, value cs t2) with
+     | Some a, Some b ->
+       fun k fr ->
+         tick 1;
+         Term.eval_cmp op (get fr a) (get fr b) && k fr
+     | None, Some b | Some b, None ->
+       let v =
+         match (op, t1, t2) with
+         | Term.Eq, Term.Var v, _ when value cs t1 = None -> v
+         | Term.Eq, _, Term.Var v -> v
+         | _ -> unsafe "unbound term in comparison %s" (Term.lit_str lit)
+       in
+       cs.bound <- KS.add (V v) cs.bound;
+       let s = slot_index cs (V v) in
+       fun k fr ->
+         tick 1;
+         Array.unsafe_set fr.slots s (get fr b);
+         k fr
+     | None, None -> unsafe "unbound comparison %s" (Term.lit_str lit))
+  | Term.Not a ->
+    let code, _ = compile_atom cs a in
+    fun k fr ->
+      tick 1;
+      (not (any_match fr.slots code.cols (candidates fr code))) && k fr
+  | Term.Agg g -> compile_agg cs g
+  | Term.Rel a ->
+    let code, bound = compile_atom cs a in
+    cs.bound <- bound;
+    fun k fr ->
+      tick 1;
+      join code.cols k fr (candidates fr code)
 
-let rec solve store body env lits k =
-  tick 1;
-  match lits with
-  | [] -> k env
-  | _ ->
-    (match pick_literal body env lits with
-     | None ->
-       unsafe "denial is not safe: cannot schedule remaining literals [%s]"
-         (String.concat ", " (List.map Term.lit_str lits))
-     | Some (lit, rest) ->
-       (match lit with
-        | Term.Cmp (op, t1, t2) ->
-          (match (term_value env t1, term_value env t2) with
-           | Some c1, Some c2 -> if Term.eval_cmp op c1 c2 then solve store body env rest k else false
-           | None, Some c ->
-             (match t1 with
-              | Term.Var v when op = Term.Eq ->
-                Hashtbl.add env v c;
-                let r = solve store body env rest k in
-                Hashtbl.remove env v;
-                r
-              | _ -> unsafe "unbound term in comparison %s" (Term.lit_str lit))
-           | Some c, None ->
-             (match t2 with
-              | Term.Var v when op = Term.Eq ->
-                Hashtbl.add env v c;
-                let r = solve store body env rest k in
-                Hashtbl.remove env v;
-                r
-              | _ -> unsafe "unbound term in comparison %s" (Term.lit_str lit))
-           | None, None -> unsafe "unbound comparison %s" (Term.lit_str lit))
-        | Term.Not a ->
-          let tuples = candidate_tuples store env a in
-          let holds = List.exists (fun t -> match_tuple env a.Term.args t <> None) tuples in
-          if holds then false else solve store body env rest k
-        | Term.Agg g ->
-          let v = eval_agg store env g in
-          (match term_value env g.Term.bound with
-           | Some b -> if Term.eval_cmp g.Term.acmp v b then solve store body env rest k else false
-           | None -> unsafe "unbound aggregate bound in %s" (Term.lit_str lit))
-        | Term.Rel a ->
-          let tuples = candidate_tuples store env a in
-          List.exists
-            (fun tup ->
-              match match_tuple env a.Term.args tup with
-              | None -> false
-              | Some binds ->
-                List.iter (fun (v, c) -> Hashtbl.add env v c) binds;
-                let r = solve store body env rest k in
-                List.iter (fun (v, _) -> Hashtbl.remove env v) binds;
-                r)
-            tuples))
+let c_plan_compiles = Obs.Metrics.counter "datalog_plan_compiles"
 
-(* ------------------------------------------------------------------ *)
-(* Public API                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let violation_untraced ?(params = []) store (d : Term.denial) =
-  let d = Subst.apply_params_denial params d in
-  (match Term.denial_params d with
+let compile ?(inputs = []) (d : Term.denial) =
+  Obs.Metrics.incr c_plan_compiles;
+  let cs = { slot_of = Hashtbl.create 16; nslots = 0; bound = KS.empty } in
+  List.iter
+    (fun t ->
+      match key_of t with
+      | None -> invalid_arg "Eval.compile: an input must be a variable or a parameter"
+      | Some k ->
+        if KS.mem k cs.bound then invalid_arg "Eval.compile: repeated input";
+        ignore (slot_index cs k);
+        cs.bound <- KS.add k cs.bound)
+    inputs;
+  let input_keys = cs.bound in
+  (match
+     List.filter (fun p -> not (KS.mem (P p) input_keys)) (Term.denial_params d)
+   with
    | [] -> ()
    | ps -> unsafe "denial still contains parameters: %s" (String.concat ", " ps));
-  let env : env = Hashtbl.create 16 in
-  let found = ref None in
-  let _ =
-    solve store d.Term.body env d.Term.body (fun env ->
-        found := Some (Hashtbl.fold (fun v c acc -> (v, c) :: acc) env []);
-        true)
+  let body = d.Term.body in
+  let rec schedule acc = function
+    | [] -> acc
+    | lits ->
+      (match pick body cs.bound lits with
+       | None ->
+         unsafe "denial is not safe: cannot schedule remaining literals [%s]"
+           (String.concat ", " (List.map Term.lit_str lits))
+       | Some (lit, rest) -> schedule (compile_lit cs lit :: acc) rest)
   in
+  let wraps = schedule [] body in
+  let emit : node =
+   fun fr ->
+    tick 1;
+    fr.emit ()
+  in
+  (* [wraps] is last literal first: wrap inside out *)
+  let root = List.fold_left (fun k wrap -> wrap k) emit wraps in
+  let var_slots =
+    KS.fold
+      (fun k acc -> match k with V v -> (v, slot_index cs k) :: acc | P _ -> acc)
+      cs.bound []
+    |> List.sort (fun (_, a) (_, b) -> compare a b)
+  in
+  let witness =
+    List.filter (fun (v, _) -> not (KS.mem (V v) input_keys)) var_slots
+  in
+  { root; nslots = cs.nslots; ninputs = List.length inputs;
+    witness = Array.of_list witness; var_slots }
+
+let slot plan v =
+  match List.assoc_opt v plan.var_slots with
+  | Some i -> i
+  | None -> invalid_arg ("Eval.slot: " ^ v ^ " is not bound in every witness")
+
+let bindings plan slots =
+  Array.fold_right (fun (v, i) acc -> (v, slots.(i)) :: acc) plan.witness []
+
+(* ------------------------------------------------------------------ *)
+(* Execution                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let run_untraced all plan store inputs f =
+  if Array.length inputs <> plan.ninputs then
+    invalid_arg "Eval.run: wrong number of inputs";
+  let slots = Array.make plan.nslots (Term.Int 0) in
+  Array.blit inputs 0 slots 0 plan.ninputs;
+  let found = ref false in
+  let emit () =
+    found := true;
+    f slots;
+    not all
+  in
+  ignore (plan.root { store; slots; emit });
   !found
 
-let c_datalog_steps = Xic_obs.Obs.Metrics.counter "datalog_steps"
+let c_datalog_steps = Obs.Metrics.counter "datalog_steps"
 
-let violation ?params store d =
-  if not (Xic_obs.Obs.Trace.is_enabled ()) then
-    violation_untraced ?params store d
+let run ?(all = false) plan store inputs f =
+  if not (Obs.Trace.is_enabled ()) then run_untraced all plan store inputs f
   else
-    Xic_obs.Obs.Trace.with_span "datalog:eval" (fun () ->
-        let v, steps =
-          with_meter (fun () -> violation_untraced ?params store d)
-        in
-        Xic_obs.Obs.Trace.add_attr "steps" (string_of_int steps);
-        Xic_obs.Obs.Metrics.add c_datalog_steps steps;
+    Obs.Trace.with_span "datalog:eval" (fun () ->
+        let v, steps = with_meter (fun () -> run_untraced all plan store inputs f) in
+        Obs.Trace.add_attr "steps" (string_of_int steps);
+        Obs.Metrics.add c_datalog_steps steps;
         v)
 
-let violated ?params store d = violation ?params store d <> None
+(* ------------------------------------------------------------------ *)
+(* One-shot API: compile, then run                                     *)
+(* ------------------------------------------------------------------ *)
 
-let violations ?(params = []) store (d : Term.denial) =
-  let d = Subst.apply_params_denial params d in
-  let env : env = Hashtbl.create 16 in
-  let acc = ref [] in
-  let _ =
-    solve store d.Term.body env d.Term.body (fun env ->
-        acc := Hashtbl.fold (fun v c l -> (v, c) :: l) env [] :: !acc;
-        false)
+(* The plan of [d] with the parameters it mentions as inputs, and their
+   values; parameters missing from [params] make it {!Unsafe}. *)
+let with_params params d =
+  let given =
+    List.filter_map
+      (fun p -> Option.map (fun c -> (p, c)) (List.assoc_opt p params))
+      (Term.denial_params d)
   in
+  ( compile ~inputs:(List.map (fun (p, _) -> Term.Param p) given) d,
+    Array.of_list (List.map snd given) )
+
+let violation ?(params = []) store d =
+  let plan, inputs = with_params params d in
+  let found = ref None in
+  ignore (run plan store inputs (fun slots -> found := Some (bindings plan slots)));
+  !found
+
+let violated ?(params = []) store d =
+  let plan, inputs = with_params params d in
+  run plan store inputs ignore
+
+let violations ?(params = []) store d =
+  let plan, inputs = with_params params d in
+  let acc = ref [] in
+  ignore
+    (run ~all:true plan store inputs (fun slots ->
+         acc := bindings plan slots :: !acc));
   List.rev !acc
 
 let consistent ?params store denials =

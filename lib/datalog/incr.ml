@@ -3,20 +3,29 @@
 
     For every denial we keep the set of violation witnesses — the
     bindings of its positive-literal variables — as a relation in a
-    private view store.  A transaction produces a net fact {!Delta};
-    instead of re-running each denial from scratch, {!apply_delta}
-    evaluates only delta rules:
+    private view store.  Each denial is compiled once, at {!create}, into
+    {!Eval} plans that every later evaluation reuses:
+
+    - its {e full} plan, run by {!initialize} and by the recompute of a
+      denial with negation or aggregates;
+    - for monotone denials (positive and comparison literals only), a
+      {e reverify} plan with the witness variables as inputs;
+    - for monotone denials, one {e delta} plan per positive literal with
+      that literal's variables as inputs.
+
+    A transaction produces a net fact {!Delta}; {!apply_delta} evaluates
+    only delta rules:
 
     - denials whose relations the delta does not touch are skipped
       untouched (the common case: a one-statement transaction touches a
       handful of relations out of the whole schema);
-    - {e monotone} denials (positive and comparison literals only) are
-      maintained exactly: net deletions can only retract witnesses, so
-      existing rows are re-verified against the post-state store; net
-      insertions can only add witnesses that use at least one inserted
-      fact, so each inserted fact is unified against each matching
-      positive literal and the residual denial is evaluated with that
-      literal bound (the semi-naive ΔR ⋈ R join);
+    - monotone denials are maintained exactly: net deletions can only
+      retract witnesses, so existing rows are re-verified through the
+      reverify plan against the post-state store; net insertions can
+      only add witnesses that use at least one inserted fact, so each
+      inserted fact is unified against each matching positive literal
+      and that literal's delta plan runs with the unifier as its inputs
+      (the semi-naive ΔR ⋈ R join);
     - denials with negation or aggregates are re-evaluated in full, but
       still only when the delta touches one of their relations.
 
@@ -37,16 +46,42 @@
 
 module Symbol = Xic_symbol.Symbol
 
-type klass = Monotone | Recompute
+(* A plan and the slots of the view-row variables in it. *)
+type projected = {
+  plan : Eval.plan;
+  proj_slots : int array;
+}
+
+(* How one column of an inserted tuple feeds a delta plan's inputs. *)
+type ucol =
+  | U_const of Term.const  (* must equal the constant *)
+  | U_bind of int  (* first occurrence: the input of that index *)
+  | U_same of int  (* repeated variable: must equal that input *)
+
+(* A positive literal's delta rule: unify an inserted tuple of [dsym]
+   with the literal, then run the denial with the literal's variables
+   bound. *)
+type delta_rule = {
+  dsym : Symbol.t;
+  unify : ucol array;
+  ninputs : int;
+  dplan : projected;
+}
+
+(* How a touched view is maintained: a monotone denial (positive and
+   comparison literals only) by re-verifying its rows — the denial with
+   the view-row variables as inputs — and one delta rule per positive
+   literal; any other by a full recompute. *)
+type klass =
+  | Monotone of { reverify : Eval.plan; deltas : delta_rule list }
+  | Recompute
 
 type entry = {
   name : string;  (* owning constraint *)
-  denial : Term.denial;
   rel : Symbol.t;  (* view relation holding the witnesses *)
   klass : klass;
   preds : Symbol.t list;  (* every relation the body references *)
-  pos : (Symbol.t * Term.atom) list;  (* positive literals *)
-  proj : string list;  (* named vars of positive literals, in order *)
+  full : projected;
 }
 
 type stats = {
@@ -67,14 +102,6 @@ type t = {
 
 let atom_preds atoms = List.map (fun a -> Symbol.intern a.Term.pred) atoms
 
-let classify body =
-  if
-    List.for_all
-      (function Term.Rel _ | Term.Cmp _ -> true | Term.Not _ | Term.Agg _ -> false)
-      body
-  then Monotone
-  else Recompute
-
 let named_vars_of_atoms atoms =
   let seen = Hashtbl.create 8 in
   let acc = ref [] in
@@ -92,6 +119,35 @@ let named_vars_of_atoms atoms =
         a.Term.args)
     atoms;
   List.rev !acc
+
+let projected plan proj =
+  { plan; proj_slots = Array.of_list (List.map (Eval.slot plan) proj) }
+
+(* The delta rule of positive literal [a]: every variable of [a] is an
+   input — including the '_'-prefixed compiler-generated ones, which
+   are unique by construction and carry the node-id joins: leaving them
+   unbound would degrade the rule to a full re-evaluation of the denial.
+   Repeated variables must agree. *)
+let delta_rule d proj (a : Term.atom) =
+  let index = Hashtbl.create 8 and vars = ref [] in
+  let unify =
+    List.map
+      (function
+        | Term.Const c -> U_const c
+        | Term.Var v ->
+          (match Hashtbl.find_opt index v with
+           | Some j -> U_same j
+           | None ->
+             let j = Hashtbl.length index in
+             Hashtbl.add index v j;
+             vars := Term.Var v :: !vars;
+             U_bind j)
+        | Term.Param p -> raise (Eval.Unsafe ("unresolved parameter %" ^ p)))
+      a.Term.args
+  in
+  let plan = Eval.compile ~inputs:(List.rev !vars) d in
+  { dsym = Symbol.intern a.Term.pred; unify = Array.of_list unify;
+    ninputs = Hashtbl.length index; dplan = projected plan proj }
 
 let entry_of_denial ~name i (d : Term.denial) =
   if Term.denial_params d <> [] then
@@ -113,14 +169,25 @@ let entry_of_denial ~name i (d : Term.denial) =
       d.Term.body
     |> List.sort_uniq compare
   in
+  let proj = named_vars_of_atoms pos_atoms in
+  let monotone =
+    List.for_all
+      (function Term.Rel _ | Term.Cmp _ -> true | Term.Not _ | Term.Agg _ -> false)
+      d.Term.body
+  in
+  let klass =
+    if monotone then
+      Monotone
+        { reverify = Eval.compile ~inputs:(List.map (fun v -> Term.Var v) proj) d;
+          deltas = List.map (delta_rule d proj) pos_atoms }
+    else Recompute
+  in
   {
     name;
-    denial = d;
     rel = Symbol.intern (Printf.sprintf "%s#%d" name i);
-    klass = classify d.Term.body;
+    klass;
     preds;
-    pos = List.map (fun a -> (Symbol.intern a.Term.pred, a)) pos_atoms;
-    proj = named_vars_of_atoms pos_atoms;
+    full = projected (Eval.compile d) proj;
   }
 
 let create (constraints : (string * Term.denial list) list) =
@@ -144,21 +211,9 @@ let create (constraints : (string * Term.denial list) list) =
       };
   }
 
-(* Project a witness onto the entry's row shape.  [theta0] holds the
-   bindings fixed by delta unification; [env] the solver's bindings for
-   the rest. *)
-let project e theta0 env =
-  List.map
-    (fun v ->
-      match Subst.find v theta0 with
-      | Some (Term.Const c) -> c
-      | _ -> (
-        match List.assoc_opt v env with
-        | Some c -> c
-        | None ->
-          (* Positive-literal variables are always bound in a witness. *)
-          invalid_arg ("Incr: unbound witness variable " ^ v)))
-    e.proj
+(* The view row of a witness. *)
+let project p slots =
+  Array.fold_right (fun i acc -> slots.(i) :: acc) p.proj_slots []
 
 let add_row t e row =
   if not (Store.mem_sym t.view e.rel row) then begin
@@ -166,13 +221,15 @@ let add_row t e row =
     t.stats.rows_added <- t.stats.rows_added + 1
   end
 
+let add_witnesses t store e p inputs =
+  ignore
+    (Eval.run ~all:true p.plan store inputs (fun slots ->
+         add_row t e (project p slots)))
+
 let recompute_entry t store e =
-  let old = Store.tuples_sym t.view e.rel in
+  t.stats.rows_removed <- t.stats.rows_removed + Store.cardinality_sym t.view e.rel;
   Store.clear_sym t.view e.rel;
-  t.stats.rows_removed <- t.stats.rows_removed + List.length old;
-  List.iter
-    (fun env -> add_row t e (project e Subst.empty env))
-    (Eval.violations store e.denial)
+  add_witnesses t store e e.full [||]
 
 let initialize t store =
   List.iter
@@ -184,62 +241,46 @@ let initialize t store =
      collect the tombstone spike instead of carrying it into steady state. *)
   Store.compact t.view
 
-(* Unify a positive literal against an inserted ground tuple.  Returns
-   the binding of the literal's variables, or [None] when the tuple
-   cannot match.  Every variable is bound — including the '_'-prefixed
-   compiler-generated ones, which are unique by construction and carry
-   the node-id joins: leaving them out of [theta0] would degrade the
-   residual to a full re-evaluation of the denial.  Repeated variables
-   must agree. *)
-let unify_atom (a : Term.atom) (tup : Store.tuple) =
-  if List.length a.Term.args <> List.length tup then None
-  else
-    let rec go subst args tup =
-      match (args, tup) with
-      | [], [] -> Some subst
-      | arg :: args, c :: tup -> (
-        match arg with
-        | Term.Const c' -> if c' = c then go subst args tup else None
-        | Term.Var v -> (
-          match Subst.find v subst with
-          | Some (Term.Const c') -> if c' = c then go subst args tup else None
-          | Some _ -> None
-          | None -> go (Subst.add v (Term.Const c) subst) args tup)
-        | Term.Param _ -> None)
-      | _ -> None
-    in
-    go Subst.empty a.Term.args tup
+(* The delta rule's inputs for an inserted ground tuple, or [None] when
+   the tuple cannot match the literal. *)
+let unify r (tup : Store.tuple) =
+  let inputs = Array.make r.ninputs (Term.Int 0) in
+  let rec go i = function
+    | [] -> i = Array.length r.unify
+    | c :: rest ->
+      i < Array.length r.unify
+      && (match r.unify.(i) with
+          | U_const c' -> Term.equal_const c c'
+          | U_same j -> Term.equal_const c inputs.(j)
+          | U_bind j ->
+            inputs.(j) <- c;
+            true)
+      && go (i + 1) rest
+  in
+  if go 0 tup then Some inputs else None
 
-let reverify_rows t store e =
-  let rows = Store.tuples_sym t.view e.rel in
+let reverify_rows t store e plan =
   List.iter
     (fun row ->
       t.stats.reverifies <- t.stats.reverifies + 1;
-      let theta =
-        Subst.of_list
-          (List.map2 (fun v c -> (v, Term.Const c)) e.proj row)
-      in
-      if not (Eval.violated store (Subst.apply_denial theta e.denial)) then begin
+      if not (Eval.run plan store (Array.of_list row) ignore) then begin
         ignore (Store.remove_sym t.view e.rel row);
         t.stats.rows_removed <- t.stats.rows_removed + 1
       end)
-    rows
+    (Store.tuples_sym t.view e.rel)
 
-let delta_insertions t store e delta =
+let delta_insertions t store e deltas delta =
   List.iter
     (fun (sym, tup, _mult) ->
       List.iter
-        (fun (psym, atom) ->
-          if Symbol.equal psym sym then
-            match unify_atom atom tup with
+        (fun r ->
+          if Symbol.equal r.dsym sym then
+            match unify r tup with
             | None -> ()
-            | Some theta0 ->
+            | Some inputs ->
               t.stats.evals <- t.stats.evals + 1;
-              let residual = Subst.apply_denial theta0 e.denial in
-              List.iter
-                (fun env -> add_row t e (project e theta0 env))
-                (Eval.violations store residual))
-        e.pos)
+              add_witnesses t store e r.dplan inputs)
+        deltas)
     (Delta.added delta)
 
 let apply_delta t store delta =
@@ -258,11 +299,11 @@ let apply_delta t store delta =
         | Recompute ->
           t.stats.recomputes <- t.stats.recomputes + 1;
           recompute_entry t store e
-        | Monotone ->
+        | Monotone { reverify; deltas } ->
           (* Deletions first: rows must be re-verified before the
              insertion pass adds rows that are already post-state. *)
-          if removals_touch e then reverify_rows t store e;
-          delta_insertions t store e delta)
+          if removals_touch e then reverify_rows t store e reverify;
+          delta_insertions t store e deltas delta)
     t.entries
 
 let violated t =

@@ -7,7 +7,10 @@
     re-running the denial over the whole store: untouched denials are
     skipped, monotone denials get exact delta evaluation (deletion
     re-verification + ΔR-bound residual joins), denials with negation or
-    aggregates are re-evaluated in full when touched.  The view uses set
+    aggregates are re-evaluated in full when touched.  Every evaluation
+    runs an {!Eval} plan compiled once by {!create}: the full plan, and
+    for monotone denials a re-verification plan and one delta plan per
+    positive literal.  The view uses set
     semantics, so it is [Store.equal]-comparable with a from-scratch
     recompute (oracle route 8).  {!freeze} captures the views with a
     generation pin, so pinned reads are a {!violated} over the frozen
@@ -26,11 +29,12 @@ type stats = {
 }
 
 val create : (string * Term.denial list) list -> t
-(** One view relation per (constraint, denial).  The view starts empty;
-    call {!initialize} against the current store before applying deltas.
+(** One view relation per (constraint, denial), with the denial's plans
+    compiled.  The view starts empty; call {!initialize} against the
+    current store before applying deltas.
     @raise Eval.Unsafe if any denial contains parameters (only full
     constraint denials are maintainable; simplified checks stay on the
-    per-update path). *)
+    per-update path) or cannot be scheduled. *)
 
 val initialize : t -> Store.t -> unit
 (** (Re)materialize every denial's witnesses from scratch. *)

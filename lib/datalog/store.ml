@@ -34,6 +34,16 @@ module TupleMap = Map.Make (struct
   let compare = compare
 end)
 
+(* Column-value indexes: monomorphic equality and an int fast path, so
+   a probe neither calls the polymorphic comparison nor hashes a boxed
+   integer generically.  Never iterated, so the hash order is free. *)
+module ConstTbl = Hashtbl.Make (struct
+  type t = Term.const
+
+  let equal = Term.equal_const
+  let hash = function Term.Int i -> i land max_int | Term.Str s -> Hashtbl.hash s
+end)
+
 type rel = {
   (* newest-first insertion log; the cons cells are never mutated, so
      any number of generation handles share them with the writer *)
@@ -51,12 +61,12 @@ type rel = {
      largest cost of a cold start.  Once built, it is maintained
      incrementally by [add_sym] / [remove_sym].  Indexes hold live
      tuples only and are private to each handle (never shared). *)
-  mutable index : (Term.const, tuple list ref) Hashtbl.t option;
+  mutable index : tuple list ref ConstTbl.t option;
   (* Secondary indexes, column position → (value → tuples), built
      lazily per column on the first probe of that column.  Tuples
      shorter than the indexed position are omitted: an atom binding
      that position can never match them. *)
-  mutable col_index : (int * (Term.const, tuple list ref) Hashtbl.t) list;
+  mutable col_index : (int * tuple list ref ConstTbl.t) list;
 }
 
 type t = {
@@ -144,15 +154,15 @@ let index_add idx tup =
   match tup with
   | [] -> ()
   | key :: _ ->
-    (match Hashtbl.find_opt idx key with
+    (match ConstTbl.find_opt idx key with
      | Some l -> l := tup :: !l
-     | None -> Hashtbl.add idx key (ref [ tup ]))
+     | None -> ConstTbl.add idx key (ref [ tup ]))
 
 let ensure_index r =
   match r.index with
   | Some idx -> idx
   | None ->
-    let idx = Hashtbl.create (max 64 (2 * r.nlive)) in
+    let idx = ConstTbl.create (max 64 (2 * r.nlive)) in
     List.iter (index_add idx) (live_list r);
     r.index <- Some idx;
     idx
@@ -161,15 +171,15 @@ let col_index_add idx col tup =
   match List.nth_opt tup col with
   | None -> ()
   | Some key ->
-    (match Hashtbl.find_opt idx key with
+    (match ConstTbl.find_opt idx key with
      | Some l -> l := tup :: !l
-     | None -> Hashtbl.add idx key (ref [ tup ]))
+     | None -> ConstTbl.add idx key (ref [ tup ]))
 
 let ensure_col_index r col =
   match List.assoc_opt col r.col_index with
   | Some idx -> idx
   | None ->
-    let idx = Hashtbl.create (max 64 (2 * r.nlive)) in
+    let idx = ConstTbl.create (max 64 (2 * r.nlive)) in
     List.iter (fun tup -> col_index_add idx col tup) (live_list r);
     r.col_index <- (col, idx) :: r.col_index;
     idx
@@ -197,7 +207,7 @@ let remove_sym (s : t) sym (tup : tuple) =
         List.iter (fun t -> if t = [] then incr occ) r.log;
         !occ - dead_count r [] > 0
       | key :: _ ->
-        (match Hashtbl.find_opt (ensure_index r) key with
+        (match ConstTbl.find_opt (ensure_index r) key with
          | Some l -> List.mem tup !l
          | None -> false)
     in
@@ -206,7 +216,7 @@ let remove_sym (s : t) sym (tup : tuple) =
       r.ndead <- r.ndead + 1;
       r.nlive <- r.nlive - 1;
       let drop_bucket idx key =
-        match Hashtbl.find_opt idx key with
+        match ConstTbl.find_opt idx key with
         | Some l ->
           let removed2 = ref false in
           let rec drop = function
@@ -249,7 +259,7 @@ let tuples_with_key_sym (s : t) sym (key : Term.const) =
   match Hashtbl.find_opt s.rels sym with
   | None -> []
   | Some r ->
-    (match Hashtbl.find_opt (ensure_index r) key with
+    (match ConstTbl.find_opt (ensure_index r) key with
      | Some l -> !l
      | None -> [])
 
@@ -264,7 +274,7 @@ let tuples_with_col_sym (s : t) sym col (key : Term.const) =
     match Hashtbl.find_opt s.rels sym with
     | None -> []
     | Some r ->
-      (match Hashtbl.find_opt (ensure_col_index r col) key with
+      (match ConstTbl.find_opt (ensure_col_index r col) key with
        | Some l -> !l
        | None -> [])
 

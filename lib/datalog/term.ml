@@ -107,6 +107,14 @@ let agg_local_vars denial_body g =
 let negate_cmp = function
   | Eq -> Neq | Neq -> Eq | Lt -> Ge | Le -> Gt | Gt -> Le | Ge -> Lt
 
+let equal_const (a : const) (b : const) =
+  a == b
+  ||
+  match (a, b) with
+  | Int x, Int y -> x = y
+  | Str x, Str y -> String.equal x y
+  | _ -> false
+
 let eval_cmp op (a : const) (b : const) =
   (* Int/Str comparisons are within the same kind; mixed kinds compare by
      their printed form, which only matters for degenerate inputs. *)

@@ -78,6 +78,9 @@ val agg_local_vars : lit list -> agg -> string list
 val negate_cmp : cmp -> cmp
 val eval_cmp : cmp -> const -> const -> bool
 
+val equal_const : const -> const -> bool
+(** Structural equality, monomorphic (no polymorphic comparison). *)
+
 val fresh_var : ?base:string -> unit -> string
 (** Globally fresh variable name ["base_<n>"]. *)
 

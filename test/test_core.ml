@@ -717,6 +717,61 @@ let test_pin_retention () =
   checkb "unknown generation refused" true
     (Repository.check_as_of repo 99 = None)
 
+(* Datalog plans are compiled once per check and per view, not per
+   guard: after warm-up, guards and live checks compile nothing, and
+   only a changed constraint or pattern set compiles again. *)
+let plan_compiles () =
+  Xic_obs.Obs.Metrics.value (Xic_obs.Obs.Metrics.counter "datalog_plan_compiles")
+
+let test_datalog_plan_cache () =
+  let s = Lazy.force schema in
+  let repo = make_repo ~constraints:false () in
+  Repository.add_constraint repo (Conf.conflict s);
+  Repository.add_constraint repo (Conf.workload s);
+  let pattern = Conf.submission_pattern s in
+  Repository.register_pattern repo pattern;
+  Repository.set_incremental repo true;
+  let submission i author =
+    Conf.insert_submission ~select:"/review/track[1]/rev[2]/sub[1]"
+      ~title:(Printf.sprintf "W%d" i) ~author
+  in
+  (* warm-up: one applied and one refused guard, one live check *)
+  ignore (Repository.guarded_update repo (submission 0 "Warm") : Repository.outcome);
+  ignore (Repository.guarded_update repo (submission 0 "Rita") : Repository.outcome);
+  checksl "warm" [] (Repository.check_incremental repo);
+  let warm = plan_compiles () in
+  for i = 1 to 50 do
+    (match
+       Repository.guarded_update repo
+         (submission i (if i mod 2 = 0 then Printf.sprintf "Fresh%d" i else "Rita"))
+     with
+     | Repository.Applied `Optimized when i mod 2 = 0 -> ()
+     | Repository.Rejected_early "conflict" when i mod 2 = 1 -> ()
+     | _ -> Alcotest.failf "guard %d: unexpected outcome" i);
+    checksl "live check" [] (Repository.check_incremental repo)
+  done;
+  checki "50 guards and live checks compile no plan" warm (plan_compiles ());
+  Repository.add_constraint repo (Conf.track_load s);
+  ignore (Repository.guarded_update repo (submission 51 "Rita") : Repository.outcome);
+  ignore (Repository.check_incremental repo : string list);
+  let added = plan_compiles () in
+  checkb "add_constraint recompiles" true (added > warm);
+  let again = { pattern with Pattern.name = "submission again" } in
+  Repository.register_pattern repo again;
+  (match Repository.match_update repo (submission 52 "Kim") with
+   | Some (_, v) -> ignore (Repository.check_optimized_datalog repo again v : string list)
+   | None -> Alcotest.fail "the submission must match");
+  checkb "register_pattern compiles the new checks" true (plan_compiles () > added);
+  let exposition = Repository.metrics_prometheus repo in
+  let needle = "xic_datalog_plan_compiles" in
+  checkb "exported to Prometheus" true
+    (let n = String.length needle in
+     let rec at i =
+       i + n <= String.length exposition
+       && (String.sub exposition i n = needle || at (i + 1))
+     in
+     at 0)
+
 (* Pinned reads come from the views frozen with the pin; these are the
    cases where the live views move on and the frozen ones must not. *)
 let pinned_recomputes () =
@@ -930,5 +985,6 @@ let () =
           Alcotest.test_case "runtime simp fallback" `Quick
             test_runtime_simplification_falls_back;
           Alcotest.test_case "duplicate names" `Quick test_duplicate_names_rejected;
+          Alcotest.test_case "datalog plan cache" `Quick test_datalog_plan_cache;
         ] );
     ]

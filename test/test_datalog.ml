@@ -2,6 +2,7 @@ module T = Xic_datalog.Term
 module P = Xic_datalog.Parser
 module S = Xic_datalog.Store
 module E = Xic_datalog.Eval
+module R = Xic_datalog.Eval_reference
 module Sub = Xic_datalog.Subsume
 
 let checkb = Alcotest.(check bool)
@@ -474,6 +475,134 @@ let prop_frozen_generation_stable =
       && String.equal before after
       && S.equal st gen)
 
+(* ------------------------------------------------------------------ *)
+(* Compiled plans = reference interpreter                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Random stores over p/2, q/1, r/2 whose constants include a string
+   and a numeric string, so aggregates meet non-integer values. *)
+let dl_rels = [ ("p", 2); ("q", 1); ("r", 2) ]
+
+let gen_dl_const =
+  QCheck2.Gen.(
+    frequency [ (4, map (fun n -> i n) (int_bound 3)); (1, oneofl [ s "a"; s "7" ]) ])
+
+let gen_dl_store =
+  let open QCheck2.Gen in
+  let fact =
+    oneofl dl_rels >>= fun (pred, n) ->
+    map (fun args -> (pred, args)) (list_repeat n gen_dl_const)
+  in
+  list_size (int_bound 14) fact
+
+(* Random denials over the same relations: positive and negated atoms,
+   comparisons and aggregates of all six operators, over variables
+   (repeated and anonymous), constants and the parameters [%a], [%b].
+   A ["_"] placeholder becomes a distinct anonymous variable per
+   occurrence, as the parser does. *)
+let gen_dl_denial =
+  let open QCheck2.Gen in
+  let term =
+    frequency
+      [ (6, map (fun v -> T.Var v) (oneofl [ "X"; "Y"; "Z" ]));
+        (2, return (T.Var "_"));
+        (2, map (fun c -> T.Const c) gen_dl_const);
+        (1, map (fun p -> T.Param p) (oneofl [ "a"; "b" ])) ]
+  in
+  let atom =
+    oneofl dl_rels >>= fun (pred, n) ->
+    map (fun args -> { T.pred; args }) (list_repeat n term)
+  in
+  let cmp = oneofl [ T.Eq; T.Neq; T.Lt; T.Le; T.Gt; T.Ge ] in
+  let agg =
+    oneofl [ T.Cnt; T.CntD; T.Sum; T.SumD; T.Max; T.Min ] >>= fun op ->
+    list_size (int_range 1 2) atom >>= fun atoms ->
+    (match op with T.Cnt | T.CntD -> option term | _ -> map Option.some term)
+    >>= fun target ->
+    cmp >>= fun acmp ->
+    frequency [ (3, map (fun n -> T.Const (i n)) (int_bound 4)); (1, term) ]
+    >>= fun bound -> return (T.Agg { T.op; target; atoms; acmp; bound })
+  in
+  let lit =
+    frequency
+      [ (6, map (fun a -> T.Rel a) atom);
+        (2, map (fun a -> T.Not a) atom);
+        (2, map3 (fun o a b -> T.Cmp (o, a, b)) cmp term term);
+        (2, agg) ]
+  in
+  let anon = ref 0 in
+  let name = function
+    | T.Var "_" ->
+      incr anon;
+      T.Var (Printf.sprintf "_%d" !anon)
+    | t -> t
+  in
+  let atom' (a : T.atom) = { a with T.args = List.map name a.T.args } in
+  let lit' = function
+    | T.Rel a -> T.Rel (atom' a)
+    | T.Not a -> T.Not (atom' a)
+    | T.Cmp (o, a, b) -> T.Cmp (o, name a, name b)
+    | T.Agg g ->
+      T.Agg
+        { g with
+          T.atoms = List.map atom' g.T.atoms;
+          target = Option.map name g.T.target;
+          bound = name g.T.bound }
+  in
+  map (fun body -> T.denial (List.map lit' body)) (list_size (int_range 1 4) lit)
+
+(* The reference reaches an unschedulable literal only once every
+   literal before it has a match, while a plan refuses such a denial at
+   compile time.  So: both unsafe, or both answer alike with the same
+   step count, or the plan refused at compile time and the reference
+   found nothing before getting there. *)
+let prop_compiled_matches_reference =
+  let print (facts, d, params) =
+    Printf.sprintf "%s\nparams: %s\nstore: %s" (T.denial_str d)
+      (String.concat ", " (List.map (fun (p, c) -> p ^ "=" ^ T.const_str c) params))
+      (String.concat " "
+         (List.map
+            (fun (r, args) ->
+              Printf.sprintf "%s(%s)" r (String.concat "," (List.map T.const_str args)))
+            facts))
+  in
+  let gen =
+    QCheck2.Gen.(
+      triple gen_dl_store gen_dl_denial
+        (map2 (fun a b -> [ ("a", a); ("b", b) ]) gen_dl_const gen_dl_const))
+  in
+  QCheck2.Test.make ~name:"compiled plans = reference interpreter" ~count:1000 ~print gen
+    (fun (facts, d, params) ->
+      let st = S.of_facts facts in
+      let norm ws = List.sort compare (List.map (List.sort compare) ws) in
+      let outcome meter f =
+        match meter f with
+        | v, steps -> Ok (v, steps)
+        | exception (E.Unsafe _ | R.Unsafe _) -> Error ()
+      in
+      let reference =
+        ( outcome R.with_meter (fun () -> R.violated ~params st d),
+          outcome R.with_meter (fun () -> norm (R.violations ~params st d)) )
+      in
+      let compiled =
+        ( outcome E.with_meter (fun () -> E.violated ~params st d),
+          outcome E.with_meter (fun () -> norm (E.violations ~params st d)) )
+      in
+      let refused_at_compile =
+        match
+          E.compile ~inputs:(List.map (fun p -> T.Param p) (T.denial_params d)) d
+        with
+        | _ -> false
+        | exception E.Unsafe _ -> true
+      in
+      compiled = reference
+      || refused_at_compile
+         && compiled = (Error (), Error ())
+         &&
+         match reference with
+         | Ok (false, _), Ok ([], _) -> true
+         | _ -> false)
+
 let test_eval_param_only_atom () =
   let st = S.of_facts [ ("p", [ i 7 ]) ] in
   let d = P.parse_denial ":- p(%k)" in
@@ -595,5 +724,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_cnt_matches_length;
           QCheck_alcotest.to_alcotest prop_order_independence;
           QCheck_alcotest.to_alcotest prop_frozen_generation_stable;
+          QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
         ] );
     ]

@@ -548,6 +548,41 @@ let test_budget_same_on_both_routes () =
      | Repository.Applied `Optimized -> ()
      | _ -> Alcotest.fail "a realistic budget keeps the guard on the pre-check")
 
+(* A one-step budget stops each compiled Datalog path: a full denial's
+   plan, the guard's cached simplified plans (a degradation) and the
+   views' delta plans (the views are dropped, and the next check
+   re-initializes them). *)
+let test_budget_compiled_paths () =
+  let module E = Xic_datalog.Eval in
+  let repo = make_repo () in
+  let s = Repository.store repo in
+  let plan = E.compile (List.hd (List.hd (Repository.constraints repo)).Constr.datalog) in
+  (match E.with_budget ~steps:1 (fun () -> E.run plan s [||] ignore) with
+   | exception E.Budget_exceeded -> ()
+   | _ -> Alcotest.fail "one step cannot run a full denial's plan");
+  checkb "the same plan under an ample budget" false
+    (E.with_budget ~steps:1_000_000 (fun () -> E.run plan s [||] ignore));
+  (match Repository.match_update repo (legal_update ()) with
+   | None -> Alcotest.fail "update must match the pattern"
+   | Some (p, valuation) ->
+     (* compile and cache the plans first, then starve them *)
+     ignore (Repository.try_check_optimized_datalog repo p valuation);
+     Repository.set_eval_budget repo (Some 1);
+     (match Repository.try_check_optimized_datalog repo p valuation with
+      | [], [ { Repository.failed_check = "conflict"; reason } ] ->
+        checks "pre-check reason" "step budget exhausted" reason
+      | _ -> Alcotest.fail "a starved pre-check must degrade");
+     Repository.set_eval_budget repo None);
+  Repository.set_incremental repo true;
+  Alcotest.(check (list string)) "views built" [] (Repository.check_incremental repo);
+  ignore (Repository.apply_unchecked repo (legal_update ()) : XU.undo);
+  ignore (E.with_budget ~steps:1 (fun () -> Repository.store repo) : Xic_datalog.Store.t);
+  checkb "views dropped after a starved maintenance" true
+    (Repository.incr_view repo = None);
+  Alcotest.(check (list string)) "next check re-initializes" []
+    (Repository.check_incremental repo);
+  checkb "views back" true (Repository.incr_view repo <> None)
+
 (* ------------------------------------------------------------------ *)
 (* Statement serialization and atomicity                               *)
 (* ------------------------------------------------------------------ *)
@@ -632,6 +667,8 @@ let () =
             test_try_check_optimized_reports_degradations;
           Alcotest.test_case "same budget on both routes" `Quick
             test_budget_same_on_both_routes;
+          Alcotest.test_case "budget on every compiled path" `Quick
+            test_budget_compiled_paths;
         ] );
       ( "statements",
         [

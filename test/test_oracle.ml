@@ -1,18 +1,26 @@
-(* Differential test oracle (index layer): randomized conference-style
-   documents, denials from the paper's constraint class, and random
-   XUpdate sequences.  Seven evaluation routes must agree on every
-   check — the indexed planner, the scan interpreter, the Datalog
-   evaluation of the shredded relational mapping, the cached compiled
-   plans, the fully traced checker (spans + detailed metrics on), the
-   fused single-pass loader (parse+intern+shred in one sweep, compared
-   against the legacy parse-then-shred pipeline relation by relation),
-   and the incremental delta-maintained checker (materialized denial
-   views vs from-scratch recompute, [Store.equal] on the views) — and
-   the incrementally maintained indexes must equal indexes rebuilt from
-   scratch after every apply / undo / savepoint-rollback /
-   crash-recovery sequence.
-   Before every randomized guarded statement, the guard's Datalog
-   pre-check must agree with the XQuery simplified check.
+(* Differential test oracle: randomized conference-style documents,
+   denials from the paper's constraint class, and random XUpdate
+   sequences.  The evaluation routes that must agree, by the stable
+   numbers the docs refer to (5 is unused):
+   1. the indexed XQuery planner;
+   2. the scan interpreter (no index);
+   3. the Datalog evaluation of the shredded relational mapping;
+   4. the cached compiled XQuery plans ([check_full]);
+   6. the fully traced checker (spans and detailed metrics on);
+   7. the fused single-pass loader (parse+intern+shred in one sweep)
+      against the legacy parse-then-shred pipeline, relation by
+      relation;
+   8. the incremental delta-maintained checker: materialized denial
+      views against a fresh recompute ([Store.equal] on the views);
+   9. the resident server over a socket against the library, including
+      pinned and as_of reads from frozen views;
+   10. the Datalog reference interpreter against the compiled Datalog
+      plans, denial by denial, on every checked state.
+   The incrementally maintained indexes must equal freshly rebuilt
+   indexes after every apply / undo / savepoint-rollback /
+   crash-recovery sequence, and before every randomized guarded
+   statement the guard's Datalog pre-check must agree with the XQuery
+   simplified check.
 
    Iteration count comes from [XIC_ORACLE_ITERS] (small by default so
    [dune runtest] stays fast); [dune build @oracle] runs 500.  The PRNG
@@ -27,6 +35,8 @@ module XP = Xic_xpath
 module J = Xic_journal.Journal
 module Index = Xic_xml.Index
 module Obs = Xic_obs.Obs
+module DE = Xic_datalog.Eval
+module DR = Xic_datalog.Eval_reference
 
 let checkb = Alcotest.(check bool)
 
@@ -126,6 +136,33 @@ let sorted l = List.sort compare l
    instead of being dropped and rebuilt at every check.  [check_full]
    runs the cached closure plans (compiled route).  Route numbers are
    stable labels that the docs refer to; number 5 is unused. *)
+(* Route 10: every denial of every constraint, evaluated by the
+   reference interpreter and by a compiled plan over the current store,
+   must give the same verdict and the same witness set (or both be
+   unsafe). *)
+let check_reference_datalog ~seed repo what =
+  let store = Repository.store repo in
+  let outcome violations =
+    match violations () with
+    | ws -> Ok (sorted (List.map sorted ws))
+    | exception (DE.Unsafe _ | DR.Unsafe _) -> Error ()
+  in
+  List.iter
+    (fun (c : Constr.t) ->
+      List.iteri
+        (fun i d ->
+          let label =
+            Printf.sprintf "[seed %d] %s: %s#%d reference = compiled" seed what
+              c.Constr.name i
+          in
+          let reference = outcome (fun () -> DR.violations store d) in
+          let compiled = outcome (fun () -> DE.violations store d) in
+          checkb (label ^ " (witnesses)") true (reference = compiled);
+          checkb (label ^ " (verdict)") true
+            (DR.violated store d = DE.violated store d))
+        c.Constr.datalog)
+    (Repository.constraints repo)
+
 let check_agreement ~seed repo what =
   let doc = Repository.doc repo in
   let idx = Repository.index repo in
@@ -176,7 +213,8 @@ let check_agreement ~seed repo what =
     scan compiled;
   Alcotest.(check (list string))
     (Printf.sprintf "[seed %d] %s: traced = scan" seed what)
-    scan traced
+    scan traced;
+  check_reference_datalog ~seed repo what
 
 let check_index_consistent ~seed repo what =
   match Repository.index repo with
