@@ -10,14 +10,15 @@
      index      indexed vs scan evaluation of full and simplified checks
      journal    write-ahead journaling overhead on guarded updates
      incremental  delta-maintained denial views vs full re-evaluation
-     server     resident check server vs one-shot loop; batched guards
-     pins       generation pin open latency vs document size
-     server_pins  pinned readers under writer churn over the socket
+     server_obs  serve-path cost of structured logging and tracing
      micro      Bechamel micro-benchmarks of the moving parts
      datalog_plans  compiled Datalog plans vs the reference interpreter
                 and XQuery, per denial (not in all; EXPERIMENTS.md runs
                 it with --sizes 256000,1024000,4096000)
-     all        everything above (default)
+     all        everything above but datalog_plans (default)
+
+   The system itself (ingest, cold start, pins, the resident server,
+   per-layer costs) is measured same-host by perfbench/, not here.
 
    Document sizes are scaled-down stand-ins for the paper's 32–256 MB
    (same 1:8 spread); absolute numbers differ from the paper's testbed,
@@ -27,7 +28,6 @@ open Xic_core
 module Conf = Xic_workload.Conference
 module Gen = Xic_workload.Generator
 module T = Xic_datalog.Term
-module Obs = Xic_obs.Obs
 
 let default_sizes = [ 32_000; 64_000; 128_000; 256_000; 512_000; 1_024_000 ]
 
@@ -46,9 +46,9 @@ let time_ms ?(reps = 5) f =
    warm-up.  [batch] amortizes timer granularity for µs-scale runs: each
    sample times [batch] consecutive runs and reports the per-run mean. *)
 (* [clean] runs a full major collection before each sample (outside the
-   timed window), so runs that drop MB-scale structures per rep — the
-   cold-start loaders — measure the operation itself rather than the
-   incremental collection of the previous rep's garbage. *)
+   timed window), so runs that drop MB-scale structures per rep measure
+   the operation itself rather than the incremental collection of the
+   previous rep's garbage. *)
 let time_stats ?(reps = 5) ?(batch = 1) ?(clean = false) f =
   ignore (f ());
   let reps = max reps 5 in
@@ -135,242 +135,6 @@ let fig1a ~sizes ~reps () =
 let fig1b ~sizes ~reps () =
   figure ~name:"Figure 1(b) — Conference workload (Example 2)"
     ~constraint_:Conf.workload ~sizes ~reps ()
-
-(* ------------------------------------------------------------------ *)
-(* PR 3: compiled check pipeline — plan cache                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Interpreted (re-lower the XQuery on every evaluation) versus compiled
-   cached plans, and plan-cache counters — on the full three-constraint
-   suite at the largest document size, with verdict agreement asserted
-   across both routes. *)
-let pipeline ~sizes ~reps () =
-  let size = List.fold_left max 0 sizes in
-  Printf.printf "# Compiled check pipeline (3 constraints, %d bytes)\n" size;
-  (* plan-cache counters live in the global metrics registry now; start
-     this section from zero so its stats cover only its own repository *)
-  Obs.Metrics.reset ();
-  let s = Conf.schema () in
-  let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-  let repo = Repository.create s in
-  Repository.load_document ~validate:false repo ds.Gen.pub_xml;
-  Repository.load_document ~validate:false repo ds.Gen.rev_xml;
-  List.iter
-    (fun c -> Repository.add_constraint repo (c s))
-    [ Conf.conflict; Conf.workload; Conf.track_load ];
-  let doc = Repository.doc repo in
-  let idx = Repository.index repo in
-  let cs = Repository.constraints repo in
-  let interpreted () =
-    List.filter_map
-      (fun c ->
-        if Constr.violated_xquery ?index:idx doc c then Some c.Constr.name
-        else None)
-      cs
-  in
-  let reference = interpreted () in
-  let interp_med, interp_min = time_stats ~reps interpreted in
-  let compiled_med, compiled_min =
-    time_stats ~reps (fun () -> Repository.check_full repo)
-  in
-  if Repository.check_full repo <> reference then
-    failwith "compiled route disagrees with interpreted route";
-  Printf.printf "# %-26s %-12s %s\n" "route" "median(ms)" "min(ms)";
-  Printf.printf "%-28s %-12.3f %.3f\n" "interpreted (re-lowered)" interp_med
-    interp_min;
-  Printf.printf "%-28s %-12.3f %.3f\n%!" "compiled (cached plans)" compiled_med
-    compiled_min;
-  Printf.printf "%s\n" (Repository.plan_stats_line repo);
-  Printf.printf "symbols interned: %d\n\n%!" (Symbol.count ())
-
-(* ------------------------------------------------------------------ *)
-(* PR 4: per-stage breakdown from the tracing layer                     *)
-(* ------------------------------------------------------------------ *)
-
-(* One fully traced cold run per figure at the largest size: document
-   parse, pattern simplification, XQuery translation, relational shred,
-   plan compilation and evaluation, each read off the span tree.  Also
-   measures the steady-state full check with tracing off and on — the
-   disabled cost is the one held to the <3% instrumentation bar. *)
-let stages ~sizes ~reps () =
-  let size = List.fold_left max 0 sizes in
-  Printf.printf "# Per-stage breakdown (traced cold run, %d bytes)\n" size;
-  let stage_names =
-    [ "parse"; "simplify"; "translate"; "shred"; "compile"; "eval" ]
-  in
-  List.iter
-    (fun (key, constraint_) ->
-      Obs.Trace.set_enabled true;
-      Obs.Metrics.set_detailed true;
-      Obs.Trace.reset ();
-      let { repo; _ } = setup ~size ~constraint_ () in
-      ignore (Repository.store repo : Xic_datalog.Store.t);
-      ignore (Repository.check_full repo : string list);
-      let roots = Obs.Trace.roots () in
-      Obs.Trace.set_enabled false;
-      Obs.Metrics.set_detailed false;
-      Obs.Trace.reset ();
-      let totals = Hashtbl.create 16 in
-      let rec walk (sp : Obs.Trace.span) =
-        let prev =
-          Option.value ~default:0.0
-            (Hashtbl.find_opt totals sp.Obs.Trace.name)
-        in
-        Hashtbl.replace totals sp.Obs.Trace.name
-          (prev +. Obs.Trace.duration_ms sp);
-        List.iter walk sp.Obs.Trace.children
-      in
-      List.iter walk roots;
-      let get n = Option.value ~default:0.0 (Hashtbl.find_opt totals n) in
-      Printf.printf "%-7s" key;
-      List.iter (fun n -> Printf.printf " %s=%.3f" n (get n)) stage_names;
-      Printf.printf " (ms)\n%!";
-      (* steady-state full check, instrumentation off vs on *)
-      let off_med, _ =
-        time_stats ~reps (fun () -> Repository.check_full repo)
-      in
-      Obs.Trace.set_enabled true;
-      Obs.Metrics.set_detailed true;
-      let on_med, _ =
-        time_stats ~reps (fun () -> Repository.check_full repo)
-      in
-      Obs.Trace.set_enabled false;
-      Obs.Metrics.set_detailed false;
-      Obs.Trace.reset ();
-      Printf.printf
-        "%-7s full check: tracing off %.3f ms | on %.3f ms (%+.1f%%)\n%!" key
-        off_med on_med
-        ((on_med -. off_med) /. (off_med +. 1e-9) *. 100.0))
-    [ ("fig1a", Conf.conflict); ("fig1b", Conf.workload) ];
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Ingestion: parse-only vs legacy parse-then-shred vs fused one-pass  *)
-(* ------------------------------------------------------------------ *)
-
-let ingest ~sizes ~reps () =
-  Printf.printf "# Ingestion (cold load of both documents into a fresh repo)\n";
-  Printf.printf "# %-12s %-10s %-15s %-19s %-12s %s\n" "size(bytes)" "subs"
-    "parse_only(ms)" "legacy_p+shred(ms)" "fused(ms)" "speedup";
-  List.iter
-    (fun size ->
-      let s = Conf.schema () in
-      let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-      let parse_only () =
-        ignore (Xic_xml.Xml_parser.parse_string ds.Gen.pub_xml);
-        ignore (Xic_xml.Xml_parser.parse_string ds.Gen.rev_xml)
-      in
-      let legacy () =
-        let repo = Repository.create s in
-        Repository.load_document ~validate:false repo ds.Gen.pub_xml;
-        Repository.load_document ~validate:false repo ds.Gen.rev_xml;
-        (* force the second-walk shred the legacy path defers *)
-        ignore (Repository.store repo : Xic_datalog.Store.t);
-        repo
-      in
-      let fused () =
-        let repo = Repository.create s in
-        Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-        Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-        (* already materialised during the parse: a field read *)
-        ignore (Repository.store repo : Xic_datalog.Store.t);
-        repo
-      in
-      (* Both load paths must agree exactly: same facts, same verdicts
-         on Examples 1 and 2, at every size. *)
-      let repo_l = legacy () and repo_f = fused () in
-      if
-        not
-          (Xic_datalog.Store.equal (Repository.store repo_l)
-             (Repository.store repo_f))
-      then failwith "ingest: fused and legacy stores differ";
-      List.iter
-        (fun constraint_ ->
-          let c = constraint_ s in
-          Repository.add_constraint repo_l c;
-          Repository.add_constraint repo_f c;
-          let vl = Repository.check_full repo_l
-          and vf = Repository.check_full repo_f in
-          if vl <> vf then failwith "ingest: fused and legacy verdicts differ")
-        [ Conf.conflict; Conf.workload ];
-      let p_med, _ = time_stats ~reps (fun () -> parse_only ()) in
-      let l_med, _ = time_stats ~reps (fun () -> ignore (legacy ())) in
-      let f_med, _ = time_stats ~reps (fun () -> ignore (fused ())) in
-      let speedup = l_med /. (f_med +. 1e-9) in
-      Printf.printf "%-14d %-10d %-15.3f %-19.3f %-12.3f %.1fx\n%!"
-        ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions p_med l_med f_med
-        speedup)
-    sizes;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Cold start: parse vs fused load vs binary snapshot load             *)
-(* ------------------------------------------------------------------ *)
-
-(* A resident checker restarting (or a recovery) can skip XML entirely:
-   the snapshot holds the arena, symbol names and fact store verbatim.
-   Loading it must beat even the fused single-pass loader — the snapshot
-   is the cold-start fast path the checkpoint subsystem buys. *)
-let coldstart ~sizes ~reps () =
-  Printf.printf
-    "# Cold start (rebuild repo + store: XML parse vs fused load vs snapshot)\n";
-  Printf.printf "# %-12s %-10s %-15s %-12s %-14s %s\n" "size(bytes)" "subs"
-    "parse_only(ms)" "fused(ms)" "snapshot(ms)" "snap_speedup";
-  List.iter
-    (fun size ->
-      let s = Conf.schema () in
-      let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-      let spath = Printf.sprintf "bench_coldstart_%d.xis" size in
-      let parse_only () =
-        ignore (Xic_xml.Xml_parser.parse_string ds.Gen.pub_xml);
-        ignore (Xic_xml.Xml_parser.parse_string ds.Gen.rev_xml)
-      in
-      let fused () =
-        let repo = Repository.create s in
-        Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-        Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-        ignore (Repository.store repo : Xic_datalog.Store.t);
-        repo
-      in
-      ignore (Repository.checkpoint (fused ()) spath : Repository.checkpoint_report);
-      let snap_load () =
-        let repo = Repository.create s in
-        ignore (Repository.load_snapshot repo spath);
-        ignore (Repository.store repo : Xic_datalog.Store.t);
-        repo
-      in
-      (* The snapshot must restore the exact state: same facts, same
-         verdicts on Examples 1 and 2, at every size. *)
-      let repo_f = fused () and repo_s = snap_load () in
-      if
-        not
-          (Xic_datalog.Store.equal (Repository.store repo_f)
-             (Repository.store repo_s))
-      then failwith "coldstart: snapshot and fused stores differ";
-      List.iter
-        (fun constraint_ ->
-          let c = constraint_ s in
-          Repository.add_constraint repo_f c;
-          Repository.add_constraint repo_s c;
-          let vf = Repository.check_full repo_f
-          and vs = Repository.check_full repo_s in
-          if vf <> vs then
-            failwith "coldstart: snapshot and fused verdicts differ")
-        [ Conf.conflict; Conf.workload ];
-      let p_med, _ = time_stats ~reps ~clean:true (fun () -> parse_only ()) in
-      let f_med, _ =
-        time_stats ~reps ~clean:true (fun () -> ignore (fused ()))
-      in
-      let s_med, _ =
-        time_stats ~reps ~clean:true (fun () -> ignore (snap_load ()))
-      in
-      Sys.remove spath;
-      let speedup = f_med /. (s_med +. 1e-9) in
-      Printf.printf "%-14d %-10d %-15.3f %-12.3f %-14.3f %.1fx\n%!"
-        ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions p_med f_med s_med
-        speedup)
-    sizes;
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Simplification cost (§7, footnote 4: "less than 50 ms")             *)
@@ -881,210 +645,11 @@ let datalog_plans ~sizes ~reps () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* PR 8: the resident check server                                     *)
+(* Observability overhead on the resident server                        *)
 (* ------------------------------------------------------------------ *)
 
 module Srv = Xic_server.Server
 module Proto = Xic_server.Protocol
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1))
-
-let frame_bytes payload =
-  let n = String.length payload in
-  let b = Bytes.create (4 + n) in
-  Bytes.set_uint8 b 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 b 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 b 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 b 3 (n land 0xff);
-  Bytes.blit_string payload 0 b 4 n;
-  Bytes.to_string b
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then go (off + Unix.write_substring fd s off (n - off))
-  in
-  go 0
-
-(* Sustained service rate of the resident server versus paying the
-   load on every request (what a one-shot CLI loop does), plus the
-   per-request saving of batched guarded transactions.  The server runs
-   in a forked child over a Unix-domain socket with a durable (fsync)
-   journal; latencies are measured client side, whole round trips. *)
-let server_bench ~reps () =
-  let size = 256_000 in
-  let n_checks = max 200 (reps * 40) in
-  Printf.printf "# Resident server vs one-shot loop (%d bytes)\n" size;
-  let s = Conf.schema () in
-  let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-  let sock = Filename.temp_file "bench_srv" ".sock" in
-  Sys.remove sock;
-  let jpath = Filename.temp_file "bench_srv" ".j" in
-  Sys.remove jpath;
-  (* one-shot: every request pays parse + shred + check *)
-  let oneshot () =
-    let repo = Repository.create s in
-    Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-    Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-    Repository.add_constraint repo (Conf.conflict s);
-    ignore (Repository.check_full repo : string list)
-  in
-  let oneshot_med, _ = time_stats ~reps ~clean:true oneshot in
-  (* resident: the child keeps everything warm *)
-  (match Unix.fork () with
-   | 0 ->
-     (try
-        let repo = Repository.create s in
-        Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-        Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-        Repository.add_constraint repo (Conf.conflict s);
-        Repository.register_pattern repo (Conf.submission_pattern s);
-        let j = Xic_journal.Journal.open_ jpath in
-        let srv =
-          Srv.create
-            ~config:{ Srv.default_config with journal = Some j }
-            repo
-        in
-        let lfd = Srv.listen (Proto.Unix_sock sock) in
-        Srv.serve ~idle_timeout:0.05 srv lfd;
-        Unix._exit 0
-      with _ -> Unix._exit 97)
-   | child ->
-     Fun.protect ~finally:(fun () ->
-         (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
-         (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
-         List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
-           [ sock; jpath ])
-     @@ fun () ->
-     let rec connect n =
-       match Proto.connect (Proto.Unix_sock sock) with
-       | fd -> fd
-       | exception _ when n > 0 ->
-         ignore (Unix.select [] [] [] 0.1);
-         connect (n - 1)
-     in
-     let fd = connect 200 in
-     let check_req = Proto.Obj [ ("op", Proto.String "check") ] in
-     ignore (Proto.request fd check_req) (* warm up *);
-     let lat = Array.init n_checks (fun _ ->
-         let t0 = now () in
-         ignore (Proto.request fd check_req);
-         (now () -. t0) *. 1000.0)
-     in
-     Array.sort Float.compare lat;
-     let total = Array.fold_left ( +. ) 0.0 lat in
-     let rps = float_of_int n_checks /. (total /. 1000.0) in
-     let p50 = percentile lat 50.0 and p99 = percentile lat 99.0 in
-     let oneshot_rps = 1000.0 /. oneshot_med in
-     let speedup = rps /. oneshot_rps in
-     Printf.printf "# %-26s %-14s %-10s %s\n" "route" "checks/sec" "p50(ms)"
-       "p99(ms)";
-     Printf.printf "%-28s %-14.1f %-10.3f %.3f\n" "one-shot (load per check)"
-       oneshot_rps oneshot_med oneshot_med;
-     Printf.printf "%-28s %-14.1f %-10.4f %.4f\n" "resident server" rps p50 p99;
-     Printf.printf "sustained speedup: %.0fx over %d requests\n%!" speedup
-       n_checks;
-     (* guarded updates: serial round trips vs one pipelined batch.
-        Every statement journals durably, so the batch's single commit
-        fsync (and single composed view-maintenance flush) is the win. *)
-     let guard_payload i =
-       Proto.to_string
-         (Proto.Obj
-            [ ("op", Proto.String "guard");
-              ( "update",
-                Proto.String
-                  (Xic_xupdate.Xupdate.to_string
-                     (Conf.insert_submission ~select:ds.Gen.legal_select
-                        ~title:(Printf.sprintf "Bench %d" i)
-                        ~author:ds.Gen.legal_author)) ) ])
-     in
-     let read_applied () =
-       match Proto.read_frame fd with
-       | Some resp ->
-         if not (Proto.bool_field "ok" resp) then failwith "guard errored";
-         (match Proto.string_field "outcome" resp with
-          | Some "applied" -> ()
-          | o ->
-            failwith
-              ("guard not applied: " ^ Option.value ~default:"?" o))
-       | None -> failwith "server closed"
-     in
-     let serial_round k =
-       let t0 = now () in
-       for i = 1 to k do
-         write_all fd (frame_bytes (guard_payload i));
-         read_applied ()
-       done;
-       (now () -. t0) *. 1000.0 /. float_of_int k
-     in
-     let batched_round k =
-       let b = Buffer.create 4096 in
-       for i = 1 to k do
-         Buffer.add_string b (frame_bytes (guard_payload i))
-       done;
-       let t0 = now () in
-       (* one write syscall: the whole batch lands in one poll round *)
-       write_all fd (Buffer.contents b);
-       for _ = 1 to k do
-         read_applied ()
-       done;
-       (now () -. t0) *. 1000.0 /. float_of_int k
-     in
-     (* The document grows with every applied guard, so measuring all
-        serial rounds before all batched rounds would hand the batched
-        side a systematically larger instance.  Interleave them in
-        alternating order and take per-side medians: both populations
-        face the same document-size distribution. *)
-     let interleaved k =
-       ignore (serial_round k);
-       ignore (batched_round k);
-       let n = max reps 5 in
-       let ss = ref [] and bs = ref [] in
-       for i = 1 to n do
-         if i mod 2 = 1 then begin
-           ss := serial_round k :: !ss;
-           bs := batched_round k :: !bs
-         end
-         else begin
-           bs := batched_round k :: !bs;
-           ss := serial_round k :: !ss
-         end
-       done;
-       let med l =
-         let a = Array.of_list l in
-         Array.sort Float.compare a;
-         a.(Array.length a / 2)
-       in
-       (med !ss, med !bs)
-     in
-     Printf.printf "# %-8s %-22s %-22s %s\n" "batch" "serial(ms/request)"
-       "batched(ms/request)" "saving";
-     List.iter
-       (fun k ->
-         let serial_ms, batched_ms = interleaved k in
-         let saving = (serial_ms -. batched_ms) /. serial_ms *. 100.0 in
-         Printf.printf "%-10d %-22.4f %-22.4f %.0f%%\n%!" k serial_ms
-           batched_ms saving)
-       [ 1; 4; 16 ];
-     (* confirm the pipelined rounds really were applied as batches *)
-     let stats =
-       Proto.request fd (Proto.Obj [ ("op", Proto.String "stats") ])
-     in
-     (match Proto.member "server" stats with
-      | Some srv_stats ->
-        Printf.printf "server applied %d batches (%d guards batched)\n%!"
-          (Option.value ~default:0 (Proto.int_field "batches" srv_stats))
-          (Option.value ~default:0
-             (Proto.int_field "batched_guards" srv_stats))
-      | None -> ());
-     ignore (Proto.request fd (Proto.Obj [ ("op", Proto.String "shutdown") ]));
-     Unix.close fd;
-     (match Unix.waitpid [] child with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> failwith "server child did not exit cleanly");
-     print_newline ())
 
 (* Serve-path cost of the observability stack: request latency against
    a plain server vs one with structured debug logging, request tracing
@@ -1227,218 +792,6 @@ let server_obs_bench ~reps () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* PR 10: copy-on-write generation pins                                *)
-(* ------------------------------------------------------------------ *)
-
-module DStore = Xic_datalog.Store
-
-(* Pin open latency versus document size.  A generation handle is an
-   O(#relations) pointer capture over the copy-on-write store, so both
-   the steady pin (retained-table reuse) and the cold freeze must stay
-   flat while the legacy copy-based pin of PR 8 — rebuild every
-   relation into a private store — grows linearly with the document. *)
-let pins_bench ~sizes ~reps () =
-  Printf.printf "# Generation pin open latency vs document size\n";
-  Printf.printf "# %-12s %-8s %-14s %-14s %-16s %s\n" "size(bytes)" "facts"
-    "pin_open(us)" "freeze(us)" "copy_pin(us)" "speedup";
-  List.iter
-    (fun size ->
-      let { repo; _ } = setup ~size ~constraint_:Conf.conflict () in
-      let st = Repository.store repo in
-      let facts = DStore.total_tuples st in
-      (* the steady pin: retained-table reuse plus refcounting — what
-         the server pays per pin request *)
-      let pin_ms, _ =
-        time_stats ~reps ~batch:1000 (fun () ->
-            let p = Repository.pin repo in
-            Repository.unpin repo p)
-      in
-      (* the cold handle capture behind the first pin of a generation *)
-      let freeze_ms, _ =
-        time_stats ~reps ~batch:1000 (fun () -> DStore.freeze st)
-      in
-      (* the copy-based pin: rebuild every relation into a private store *)
-      let copy_ms, _ =
-        time_stats ~reps (fun () -> DStore.of_facts (DStore.to_facts st))
-      in
-      let pin_us = pin_ms *. 1000.0 in
-      let freeze_us = freeze_ms *. 1000.0 in
-      let copy_us = copy_ms *. 1000.0 in
-      let speedup = copy_us /. Float.max pin_us freeze_us in
-      Printf.printf "%-14d %-8d %-14.3f %-14.3f %-16.1f %.0fx\n%!" size
-        facts pin_us freeze_us copy_us speedup)
-    sizes;
-  print_newline ()
-
-(* Concurrent pinned readers under writer churn, over the socket: pin
-   open round trips, plain-check service rate while the pins are held
-   and guards keep committing (the versioning layer must not tax the
-   hot path), the heap each held pin retains beyond the live store
-   once the writer has moved on, and read-under-pin latency (a full
-   evaluation over the frozen handle). *)
-let server_pins_bench ~reps () =
-  let sizes = [ 256_000; 1_024_000 ] in
-  let pins_held = 8 and bursts = 8 in
-  let commits_per_burst = 2 in
-  Printf.printf "# Pinned readers under writer churn (%d pins held, %d \
-                 writer commits)\n"
-    pins_held (bursts * commits_per_burst);
-  Printf.printf "# %-12s %-20s %-18s %-12s %-24s %s\n" "size(bytes)"
-    "pin_open p50/p99(us)" "mixed checks/sec" "pin(bytes)"
-    "read_under_pin p50/p99(ms)" "retained";
-  let s = Conf.schema () in
-  List.iter
-    (fun size ->
-      let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-      let sock = Filename.temp_file "bench_pins" ".sock" in
-      Sys.remove sock;
-      let jpath = Filename.temp_file "bench_pins" ".j" in
-      Sys.remove jpath;
-      match Unix.fork () with
-      | 0 ->
-        (try
-           let repo = Repository.create s in
-           Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-           Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-           Repository.add_constraint repo (Conf.conflict s);
-           Repository.register_pattern repo (Conf.submission_pattern s);
-           let j = Xic_journal.Journal.open_ jpath in
-           let srv =
-             Srv.create
-               ~config:{ Srv.default_config with journal = Some j }
-               repo
-           in
-           let lfd = Srv.listen (Proto.Unix_sock sock) in
-           Srv.serve ~idle_timeout:0.05 srv lfd;
-           Unix._exit 0
-         with _ -> Unix._exit 97)
-      | child ->
-        Fun.protect ~finally:(fun () ->
-            (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
-            (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
-            List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
-              [ sock; jpath ])
-        @@ fun () ->
-        let rec connect n =
-          match Proto.connect (Proto.Unix_sock sock) with
-          | fd -> fd
-          | exception _ when n > 0 ->
-            ignore (Unix.select [] [] [] 0.1);
-            connect (n - 1)
-        in
-        let fd = connect 200 in
-        let rq j = Proto.request fd j in
-        let check_req = Proto.Obj [ ("op", Proto.String "check") ] in
-        ignore (rq check_req) (* warm up *);
-        (* pin open latency over the wire; the opened pins are real,
-           the first [pins_held] stay held through the churn below *)
-        let n_pins = max 100 (reps * 20) in
-        let pin_ids = ref [] in
-        let pin_lat =
-          Array.init n_pins (fun _ ->
-              let t0 = now () in
-              let resp = rq (Proto.Obj [ ("op", Proto.String "pin") ]) in
-              let dt = (now () -. t0) *. 1e6 in
-              (match Proto.int_field "pin" resp with
-               | Some id -> pin_ids := id :: !pin_ids
-               | None -> failwith "pin request failed");
-              dt)
-        in
-        Array.sort Float.compare pin_lat;
-        let pin_p50 = percentile pin_lat 50.0
-        and pin_p99 = percentile pin_lat 99.0 in
-        let held, spare =
-          let ids = List.rev !pin_ids in
-          (List.filteri (fun i _ -> i < pins_held) ids,
-           List.filteri (fun i _ -> i >= pins_held) ids)
-        in
-        List.iter
-          (fun id ->
-            ignore
-              (rq
-                 (Proto.Obj
-                    [ ("op", Proto.String "unpin"); ("pin", Proto.Int id) ])))
-          spare;
-        (* mixed workload: timed plain-check bursts with (untimed)
-           guard commits between them — every burst runs against a
-           newer generation while the held pins stay at the old one *)
-        let guard i =
-          let resp =
-            rq
-              (Proto.Obj
-                 [ ("op", Proto.String "guard");
-                   ( "update",
-                     Proto.String
-                       (Xic_xupdate.Xupdate.to_string
-                          (Conf.insert_submission ~select:ds.Gen.legal_select
-                             ~title:(Printf.sprintf "Churn %d" i)
-                             ~author:ds.Gen.legal_author)) ) ])
-          in
-          match Proto.string_field "outcome" resp with
-          | Some "applied" -> ()
-          | o ->
-            failwith ("churn guard not applied: " ^ Option.value ~default:"?" o)
-        in
-        let checks_per_burst = 1000 in
-        let timed = ref 0.0 in
-        for b = 1 to bursts do
-          let t0 = now () in
-          for _ = 1 to checks_per_burst do
-            ignore (rq check_req)
-          done;
-          timed := !timed +. (now () -. t0);
-          for k = 1 to commits_per_burst do
-            guard ((b * 100) + k)
-          done
-        done;
-        let mixed_rps = float_of_int (bursts * checks_per_burst) /. !timed in
-        (* what the held pins cost now that the writer has moved on *)
-        let hist = rq (Proto.Obj [ ("op", Proto.String "history") ]) in
-        let pin_bytes =
-          Option.value ~default:0 (Proto.int_field "pin_bytes" hist)
-        in
-        let retained =
-          match Proto.list_field "retained" hist with
-          | Some rs -> List.length rs
-          | None -> 0
-        in
-        let per_pin_bytes = pin_bytes / max 1 pins_held in
-        (* read-under-pin: a full evaluation over the frozen handle *)
-        let first_pin = List.hd held in
-        let pinned_req =
-          Proto.Obj
-            [ ("op", Proto.String "check"); ("pin", Proto.Int first_pin) ]
-        in
-        ignore (rq pinned_req) (* warm up *);
-        let n_reads = max 30 (reps * 6) in
-        let read_lat =
-          Array.init n_reads (fun _ ->
-              let t0 = now () in
-              ignore (rq pinned_req);
-              (now () -. t0) *. 1000.0)
-        in
-        Array.sort Float.compare read_lat;
-        let read_p50 = percentile read_lat 50.0
-        and read_p99 = percentile read_lat 99.0 in
-        List.iter
-          (fun id ->
-            ignore
-              (rq
-                 (Proto.Obj
-                    [ ("op", Proto.String "unpin"); ("pin", Proto.Int id) ])))
-          held;
-        ignore (rq (Proto.Obj [ ("op", Proto.String "shutdown") ]));
-        Unix.close fd;
-        (match Unix.waitpid [] child with
-         | _, Unix.WEXITED 0 -> ()
-         | _ -> failwith "server child did not exit cleanly");
-        Printf.printf "%-14d %7.1f / %-10.1f %-18.1f %-12d %10.3f / %-11.3f %d\n%!"
-          size pin_p50 pin_p99 mixed_rps per_pin_bytes read_p50 read_p99
-          retained)
-    sizes;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1471,14 +824,7 @@ let () =
     | "index" -> index_bench ~sizes ~reps ()
     | "journal" -> journal_bench ~sizes ~reps ()
     | "incremental" -> incremental_bench ~sizes ~reps ()
-    | "pipeline" -> pipeline ~sizes ~reps ()
-    | "stages" -> stages ~sizes ~reps ()
-    | "ingest" -> ingest ~sizes ~reps ()
-    | "coldstart" -> coldstart ~sizes ~reps ()
-    | "server" -> server_bench ~reps ()
     | "server_obs" -> server_obs_bench ~reps ()
-    | "pins" -> pins_bench ~sizes ~reps ()
-    | "server_pins" -> server_pins_bench ~reps ()
     | "micro" -> micro ()
     | "datalog_plans" -> datalog_plans ~sizes ~reps ()
     | "all" ->
@@ -1490,21 +836,13 @@ let () =
       index_bench ~sizes ~reps ();
       journal_bench ~sizes ~reps ();
       incremental_bench ~sizes ~reps ();
-      stages ~sizes ~reps ();
-      ingest ~sizes ~reps ();
-      coldstart ~sizes ~reps ();
-      pipeline ~sizes ~reps ();
-      server_bench ~reps ();
       server_obs_bench ~reps ();
-      pins_bench ~sizes ~reps ();
-      server_pins_bench ~reps ();
       micro ()
     | other ->
       Printf.eprintf
         "unknown experiment %S (expected \
          fig1a|fig1b|fig_simp|ex45|ablations|index|journal|incremental|\
-         stages|ingest|coldstart|pipeline|server|server_obs|pins|\
-         server_pins|micro|datalog_plans|all)\n"
+         server_obs|micro|datalog_plans|all)\n"
         other;
       exit 2
   in

@@ -341,19 +341,6 @@ let load_document ?validate t source =
     Obs.Metrics.incr c_ingest_legacy
   | _ -> fail "expected exactly one root element"
 
-type ingest_stats = {
-  fused_docs : int;
-  legacy_docs : int;
-  fused_bytes : int;
-  fused_facts : int;
-}
-
-let ingest_stats (_ : t) =
-  { fused_docs = Obs.Metrics.value c_ingest_fused;
-    legacy_docs = Obs.Metrics.value c_ingest_legacy;
-    fused_bytes = Obs.Metrics.value c_ingest_bytes;
-    fused_facts = Obs.Metrics.value c_ingest_facts }
-
 (* Fused single-pass load: parse, intern and shred in one streaming scan
    of the source.  The store is fed through a [Shred.sink] while the
    parse runs when it can be kept exact:
@@ -814,26 +801,28 @@ let budgeted_datalog t f =
   | None -> f ()
   | Some steps -> Xic_datalog.Eval.with_budget ~steps f
 
-(* The simplified denials' cached plans, with every parameter of a
-   denial as its inputs. *)
+(* Plans for simplified denials, with every parameter of a denial as
+   its inputs, or the reason they cannot be compiled. *)
+let compile_denials ds =
+  try
+    Ok
+      (List.map
+         (fun d ->
+           let ps = T.denial_params d in
+           { dl_plan =
+               Xic_datalog.Eval.compile
+                 ~inputs:(List.map (fun p -> T.Param p) ps)
+                 d;
+             dl_params = ps })
+         ds)
+  with Xic_datalog.Eval.Unsafe m -> Error m
+
+(* The simplified denials' cached plans. *)
 let datalog_plans ch =
   match ch.simplified_dl with
   | Some r -> r
   | None ->
-    let r =
-      try
-        Ok
-          (List.map
-             (fun d ->
-               let ps = T.denial_params d in
-               { dl_plan =
-                   Xic_datalog.Eval.compile
-                     ~inputs:(List.map (fun p -> T.Param p) ps)
-                     d;
-                 dl_params = ps })
-             ch.simplified)
-      with Xic_datalog.Eval.Unsafe m -> Error m
-    in
+    let r = compile_denials ch.simplified in
     ch.simplified_dl <- Some r;
     r
 
@@ -849,6 +838,20 @@ let run_dl_plan s params dp =
   in
   Xic_datalog.Eval.run dp.dl_plan s (Array.of_list inputs) ignore
 
+(* One pre-check: constraint [name]'s simplified denial [plans],
+   instantiated with [params], evaluated over the base store [s] under
+   the repository's step budget.  [Error] names a degradation: a
+   parameter left unbound or an exhausted budget. *)
+let precheck_datalog t s params name plans =
+  Obs.Metrics.incr c_checks_optimized;
+  match
+    timed_check name h_check_optimized (fun () ->
+        budgeted_datalog t (fun () -> List.exists (run_dl_plan s params) plans))
+  with
+  | violated -> Ok violated
+  | exception Xic_datalog.Eval.Unsafe m -> Error m
+  | exception Xic_datalog.Eval.Budget_exceeded -> Error "step budget exhausted"
+
 (* The guard's pre-check: each constraint's simplified denials,
    instantiated with the update's parameters, evaluated over the base
    store through their cached plans.  Only the base store is flushed —
@@ -862,22 +865,14 @@ let try_check_optimized_datalog t p valuation =
   let rec go violated degs = function
     | [] -> (List.rev violated, List.rev degs)
     | ch :: rest ->
-      Obs.Metrics.incr c_checks_optimized;
-      let degraded reason =
-        go violated ({ failed_check = ch.constraint_name; reason } :: degs) rest
-      in
       (match
-         timed_check ch.constraint_name h_check_optimized (fun () ->
-             match datalog_plans ch with
-             | Error m -> raise (Xic_datalog.Eval.Unsafe m)
-             | Ok plans ->
-               budgeted_datalog t (fun () -> List.exists (run_dl_plan s params) plans))
+         Result.bind (datalog_plans ch)
+           (precheck_datalog t s params ch.constraint_name)
        with
-       | true -> go (ch.constraint_name :: violated) degs rest
-       | false -> go violated degs rest
-       | exception Xic_datalog.Eval.Unsafe m -> degraded m
-       | exception Xic_datalog.Eval.Budget_exceeded ->
-         degraded "step budget exhausted")
+       | Ok true -> go (ch.constraint_name :: violated) degs rest
+       | Ok false -> go violated degs rest
+       | Error reason ->
+         go violated ({ failed_check = ch.constraint_name; reason } :: degs) rest)
   in
   go [] [] checks
 
@@ -969,9 +964,11 @@ let rollback t undo =
   Obs.Trace.with_span "rollback" (fun () -> XU.rollback t.doc undo)
 
 (* Derive a one-off pattern from the concrete statement, simplify on the
-   spot and pre-check; any failure along the way reverts to the
-   execute–check–compensate strategy.  Evaluation failures and exhausted
-   budgets are reported as degradations. *)
+   spot and pre-check on the relational mirror, exactly like a matched
+   guard; anything outside the simplifiable or compilable fragment
+   reverts to the execute–check–compensate strategy.  Constraints are
+   simplified lazily, stopping at the first violation.  Evaluation
+   failures and exhausted budgets are reported as degradations. *)
 let runtime_simplified t (m : XU.modification) =
   Obs.Trace.with_span "runtime_simplified" @@ fun () ->
   match Pattern.of_modification t.schema ~name:"<runtime>" m with
@@ -980,32 +977,24 @@ let runtime_simplified t (m : XU.modification) =
     (match Pattern.match_modification t.schema t.doc p m with
      | None -> (None, [])
      | Some valuation ->
-       let params = Pattern.xquery_params valuation in
-       let degraded name reason =
-         (None, [ { failed_check = name; reason } ])
-       in
+       let params = Pattern.datalog_params p valuation in
+       let s = lazy (base_store t) in
        let rec check = function
          | [] -> (Some `Consistent, [])
          | (c : Constr.t) :: rest ->
            (match Pattern.simplify t.schema p c with
             | exception Xic_simplify.After.Unsupported _ -> (None, [])
             | simplified ->
-              (match
-                 Xic_translate.Translate.denials (Schema.mapping t.schema)
-                   simplified
-               with
-               | exception Xic_translate.Translate.Untranslatable _ -> (None, [])
-               | q ->
+              (match compile_denials simplified with
+               | Error _ -> (None, [])
+               | Ok plans ->
                  (match
-                    budgeted t (fun () ->
-                        Xic_xquery.Eval.eval_bool t.doc ~params ?index:(index t) q)
+                    precheck_datalog t (Lazy.force s) params c.Constr.name plans
                   with
-                  | exception Xic_xquery.Eval.Eval_error msg ->
-                    degraded c.Constr.name msg
-                  | exception Xic_xpath.Eval.Budget_exceeded ->
-                    degraded c.Constr.name "step budget exhausted"
-                  | true -> (Some (`Violated c.Constr.name), [])
-                  | false -> check rest)))
+                  | Ok true -> (Some (`Violated c.Constr.name), [])
+                  | Ok false -> check rest
+                  | Error reason ->
+                    (None, [ { failed_check = c.Constr.name; reason } ]))))
        in
        check t.constraints)
 

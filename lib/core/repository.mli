@@ -55,8 +55,9 @@ val set_eval_budget : t -> int option -> unit
     evaluation.  Every optimized or runtime-simplified check runs under
     its own budget of that many evaluator steps; a check that exhausts it
     is treated as {e degraded} — the guarded update falls back to the
-    full check instead of failing (see {!report}).  The guard's Datalog
-    pre-check counts Datalog solver steps, the XQuery routes XQuery
+    full check instead of failing (see {!report}).  Every pre-check of a
+    guarded update, matched or runtime-simplified, counts Datalog solver
+    steps; the XQuery reference {!try_check_optimized} counts XQuery
     evaluator steps. *)
 
 val eval_budget : t -> int option
@@ -124,16 +125,6 @@ val load_fused : ?validate:bool -> t -> string -> unit
     but the store never demanded) it simply stays lazy.  On failure the
     store is invalidated and no root is registered.
     @raise Repository_error on parse, shredding or validation failure. *)
-
-type ingest_stats = {
-  fused_docs : int;   (** documents loaded through {!load_fused} *)
-  legacy_docs : int;  (** documents loaded through {!load_document} *)
-  fused_bytes : int;  (** source bytes ingested by the fused path *)
-  fused_facts : int;  (** facts emitted by fused shredding *)
-}
-
-val ingest_stats : t -> ingest_stats
-(** Cumulative ingestion counters (registry-backed, like {!plan_stats}). *)
 
 val add_document_root : ?validate:bool -> t -> Doc.node_id -> unit
 (** Register an already-built tree (e.g. from a generator) as a root. *)
@@ -372,9 +363,10 @@ val guarded_update :
     update is executed, fully checked, and compensated on violation; with
     [`Runtime_simplification] a one-off pattern is derived from the
     concrete statement (its text values as constants), [Simp] runs on the
-    spot, and the residual checks still execute {e before} the update —
-    reverting to the full-check strategy only when the statement falls
-    outside the simplifiable fragment.
+    spot, and the residual checks still run over the mirror {e before}
+    the update, like a matched pattern's — reverting to the full-check
+    strategy only when the statement falls outside the simplifiable
+    fragment.
 
     With [journal], the update is journaled write-ahead: an intent record
     (the serialized statement and chosen strategy) is forced to disk

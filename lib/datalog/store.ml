@@ -384,9 +384,6 @@ let of_facts facts =
   List.iter (fun (name, tup) -> add s name tup) facts;
   s
 
-let to_facts (s : t) =
-  List.concat_map (fun name -> List.map (fun t -> (name, t)) (tuples s name)) (relations s)
-
 (* ------------------------------------------------------------------ *)
 (* Snapshot (de)serialization                                          *)
 (* ------------------------------------------------------------------ *)

@@ -47,7 +47,6 @@ val relations : t -> string list
 val total_tuples : t -> int
 val mem : t -> string -> tuple -> bool
 val of_facts : (string * tuple) list -> t
-val to_facts : t -> (string * tuple) list
 
 val equal : t -> t -> bool
 (** Same relations with the same tuple multisets. *)

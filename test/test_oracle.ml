@@ -15,7 +15,10 @@
    9. the resident server over a socket against the library, including
       pinned and as_of reads from frozen views;
    10. the Datalog reference interpreter against the compiled Datalog
-      plans, denial by denial, on every checked state.
+      plans, denial by denial, on every checked state;
+   11. runtime simplification of unmatched statements against
+      execute–check–compensate, on twin repositories stepped through
+      the same statements.
    The incrementally maintained indexes must equal freshly rebuilt
    indexes after every apply / undo / savepoint-rollback /
    crash-recovery sequence, and before every randomized guarded
@@ -99,7 +102,9 @@ let gen_rev r =
   Buffer.add_string b "</review>";
   Buffer.contents b
 
-let repo_of ~pub ~rev =
+(* The paper's three constraints, no pattern registered: every guarded
+   statement takes the fallback route. *)
+let unpatterned_repo ~pub ~rev =
   let s = Conf.schema () in
   let repo = Repository.create s in
   Repository.load_document repo pub;
@@ -107,7 +112,12 @@ let repo_of ~pub ~rev =
   List.iter
     (Repository.add_constraint repo)
     [ Conf.conflict s; Conf.workload s; Conf.track_load s ];
-  Repository.register_pattern repo (Conf.submission_pattern s);
+  repo
+
+let repo_of ~pub ~rev =
+  let repo = unpatterned_repo ~pub ~rev in
+  Repository.register_pattern repo
+    (Conf.submission_pattern (Repository.schema repo));
   repo
 
 let random_repo r = repo_of ~pub:(gen_pub r) ~rev:(gen_rev r)
@@ -918,6 +928,87 @@ let test_server_oracle () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Route 11: runtime simplification vs execute–check–compensate        *)
+(* ------------------------------------------------------------------ *)
+
+(* Twin repositories over the same documents and no registered
+   pattern, both consistent, step through the same single-modification
+   statements: one guards with runtime simplification (a one-off
+   pattern pre-checked on the mirror), the other executes, checks and
+   compensates.  Both must accept or both refuse, an early rejection
+   must name the constraint the twin rolled back, and the documents
+   must agree after every step.  Returns how many statements the
+   runtime route applied and rejected by itself. *)
+let runtime_twins ~seed ~pub ~rev steps =
+  let rt = unpatterned_repo ~pub ~rev and full = unpatterned_repo ~pub ~rev in
+  let applied = ref 0 and rejected = ref 0 in
+  let step what u =
+    let report =
+      Repository.guarded_update_report ~fallback:`Runtime_simplification rt u
+    in
+    let expected = Repository.guarded_update ~fallback:`Full_check full u in
+    let msg = Printf.sprintf "[seed %d] %s" seed what in
+    checkb (msg ^ ": no degradation") true (report.Repository.degradations = []);
+    (match (report.Repository.outcome, expected) with
+     | Repository.Applied `Runtime_simplified, Repository.Applied `Full_check ->
+       incr applied
+     | Repository.Rejected_early c, Repository.Rolled_back c' when c = c' ->
+       incr rejected
+     | Repository.Applied `Full_check, Repository.Applied `Full_check -> ()
+     | Repository.Rolled_back c, Repository.Rolled_back c' when c = c' -> ()
+     | o, o' ->
+       Alcotest.failf "%s: runtime route %s, full-check twin %s" msg
+         (outcome_tag9 o) (outcome_tag9 o'));
+    checkb (msg ^ ": documents agree") true
+      (Xic_xml.Doc.equal_structure (Repository.doc rt) (Repository.doc full));
+    Alcotest.(check (list string))
+      (msg ^ ": still consistent") [] (Repository.check_full rt)
+  in
+  if Repository.check_full rt = [] then steps rt step;
+  (!applied, !rejected)
+
+let test_runtime_simplification_oracle () =
+  (* Example 1 over the fixed documents: Carl reviewing a co-author's
+     submission is refused early, a stranger's is applied *)
+  let fixed =
+    runtime_twins ~seed:0 ~pub:fixed_pub ~rev:fixed_rev (fun _ step ->
+        List.iter
+          (fun author ->
+            step author
+              (Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
+                 ~title:"Fixed" ~author))
+          [ "Carl"; "Zoe" ])
+  in
+  checkb "fixed scenario: one applied, one rejected early" true (fixed = (1, 1));
+  (* random documents are mostly inconsistent; draw a few times for a
+     consistent pair, the only pre-state simplification is sound on *)
+  let rec consistent_docs r tries =
+    let pub = gen_pub r in
+    let rev = gen_rev r in
+    if tries = 0 || Repository.check_full (unpatterned_repo ~pub ~rev) = []
+    then (pub, rev)
+    else consistent_docs r (tries - 1)
+  in
+  let applied = ref 0 and rejected = ref 0 in
+  for i = 1 to iters do
+    let seed = 19000 + i in
+    let r = Prng.create seed in
+    let pub, rev = consistent_docs r 8 in
+    let a, x =
+      runtime_twins ~seed ~pub ~rev (fun rt step ->
+          for n = 1 to 1 + Prng.int r 5 do
+            Option.iter
+              (step (Printf.sprintf "statement %d" n))
+              (random_update r rt)
+          done)
+    in
+    applied := !applied + a;
+    rejected := !rejected + x
+  done;
+  checkb "random statements applied by the runtime route" true (!applied > 0);
+  checkb "random statements rejected early" true (!rejected > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Symbol interning round trip                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -965,5 +1056,7 @@ let () =
           Alcotest.test_case "incremental recompute" `Quick
             test_incremental_oracle;
           Alcotest.test_case "resident server" `Quick test_server_oracle;
+          Alcotest.test_case "runtime simplification" `Quick
+            test_runtime_simplification_oracle;
         ] );
     ]

@@ -104,6 +104,30 @@ let test_roundtrip_after_updates () =
      ()
    | _ -> Alcotest.fail "loaded repository must still enforce constraints")
 
+(* A generated dataset loaded through the fused loader (the cold-start
+   path a resident checker takes) restores to the same store and the
+   same verdicts on Examples 1 and 2. *)
+let test_fused_generated_roundtrip () =
+  let s = Lazy.force schema in
+  let ds = Xic_workload.Generator.generate ~seed:42 ~target_bytes:32_000 () in
+  let fused = Repository.create s in
+  Repository.load_fused ~validate:false fused ds.Xic_workload.Generator.pub_xml;
+  Repository.load_fused ~validate:false fused ds.Xic_workload.Generator.rev_xml;
+  let p = fresh_path () in
+  ignore (Repository.checkpoint fused p : Repository.checkpoint_report);
+  let restored = Repository.create s in
+  ignore (Repository.load_snapshot restored p : Snap.meta);
+  checkb "snapshot store = fused store" true
+    (Store.equal (Repository.store fused) (Repository.store restored));
+  List.iter
+    (fun c ->
+      Repository.add_constraint fused (c s);
+      Repository.add_constraint restored (c s))
+    [ Conf.conflict; Conf.workload ];
+  Alcotest.(check (list string))
+    "snapshot verdicts = fused verdicts" (Repository.check_full fused)
+    (Repository.check_full restored)
+
 let test_read_meta () =
   let p = fresh_path () in
   let repo = make_repo () in
@@ -327,6 +351,8 @@ let () =
         [
           Alcotest.test_case "state round trip" `Quick test_roundtrip;
           Alcotest.test_case "after updates" `Quick test_roundtrip_after_updates;
+          Alcotest.test_case "fused generated dataset" `Quick
+            test_fused_generated_roundtrip;
           Alcotest.test_case "read_meta" `Quick test_read_meta;
           Alcotest.test_case "symbol remap across processes" `Quick
             test_symbol_remap_across_processes;
